@@ -8,11 +8,14 @@
 //! materialization and report assembly.  It should be lost in the noise of
 //! the protocol run itself.
 use byzcount_analysis::RunSimulation;
+use byzcount_core::runner::counting_nodes;
 use byzcount_core::sim::{FaultSpec, Simulation, TopologySpec, WorkloadSpec};
-use byzcount_core::{run_basic_counting, run_counting_faulty, run_counting_with, ProtocolParams};
+use byzcount_core::{round_cap, run_basic_counting, run_counting_with, ProtocolParams};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use netsim_graph::SmallWorldNetwork;
-use netsim_runtime::{NoFaults, NullAdversary};
+use netsim_runtime::{
+    run_with_engine, EngineConfig, EngineKind, FaultPlan, NoFaults, NullAdversary,
+};
 
 fn bench_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("protocol_overhead");
@@ -73,26 +76,33 @@ fn bench_overhead(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("no_fault_layer", n), &n, |b, _| {
             b.iter(|| run_counting_with(&net, &params, &byz, NullAdversary, 13))
         });
+        // Algorithm 2 on the synchronous engine with `plan` installed.
+        let run = |plan: Option<Box<dyn FaultPlan>>| {
+            let config = EngineConfig {
+                max_rounds: round_cap(&params, n),
+                stop_when_all_decided: true,
+            };
+            let nodes = counting_nodes(&params, true, 0..n);
+            run_with_engine(
+                EngineKind::Sync,
+                &net,
+                nodes,
+                byz.clone(),
+                NullAdversary,
+                config,
+                13,
+                plan,
+                None,
+                None,
+            )
+            .expect("in-process engines are infallible")
+        };
         let honest = vec![true; n];
         group.bench_with_input(BenchmarkId::new("spec_fault_none", n), &n, |b, _| {
-            b.iter(|| {
-                assert!(FaultSpec::None.build_plan(n, &honest, 13).is_none());
-                run_counting_faulty(&net, &params, &byz, NullAdversary, true, 13, None, None)
-            })
+            b.iter(|| run(FaultSpec::None.build_plan(n, &honest, 13)))
         });
         group.bench_with_input(BenchmarkId::new("noop_plan", n), &n, |b, _| {
-            b.iter(|| {
-                run_counting_faulty(
-                    &net,
-                    &params,
-                    &byz,
-                    NullAdversary,
-                    true,
-                    13,
-                    None,
-                    Some(Box::new(NoFaults)),
-                )
-            })
+            b.iter(|| run(Some(Box::new(NoFaults))))
         });
     }
     group.finish();

@@ -111,8 +111,9 @@ pub struct BenchEntry {
     pub rounds_per_s: f64,
     /// Delivered messages per second.
     pub messages_per_s: f64,
-    /// Process peak RSS after this cell, in kB (`VmHWM`; monotone over the
-    /// suite run, so the last entries bound the whole suite).
+    /// Peak RSS while this cell ran, in kB: `VmHWM`, reset before the cell
+    /// through `/proc/self/clear_refs`.  Where the reset is unsupported it
+    /// is the process's lifetime peak up to the end of this cell.
     pub peak_rss_kb: u64,
     /// `rounds_per_s` of the matching entry in the baseline report, when a
     /// baseline was joined.
@@ -279,6 +280,14 @@ pub fn peak_rss_kb() -> u64 {
         .unwrap_or(0)
 }
 
+/// Reset the process peak RSS (`VmHWM`) to the current resident size, so
+/// the next [`peak_rss_kb`] covers only what follows.  Returns `false`
+/// where the kernel does not support the reset (the peak then stays the
+/// lifetime value).
+pub fn reset_peak_rss() -> bool {
+    std::fs::write("/proc/self/clear_refs", "5").is_ok()
+}
+
 /// Run the whole suite.  `progress` receives one line per finished cell.
 pub fn run_suite(
     cfg: &BenchConfig,
@@ -305,6 +314,8 @@ pub fn run_suite(
             for (faulty, network) in [(false, "clean"), (true, "faulty")] {
                 let seed = cell_seed(cfg.seed, workload.name(), network, n);
                 let spec = suite_spec_on(&workload, n, faulty, seed, cfg.engine);
+                // Per-cell peak; a failed reset leaves the lifetime peak.
+                reset_peak_rss();
                 let setup_start = Instant::now();
                 let prepared = PreparedRun::new(&spec)?;
                 let setup_ms = setup_start.elapsed().as_secs_f64() * 1e3;
@@ -676,6 +687,26 @@ mod tests {
         // guard (the suite itself is exercised end-to-end by the CI
         // async bench smoke, not here — it is seconds of protocol work).
         assert!(ClockPlan::Uniform.is_synchronous());
+    }
+
+    #[test]
+    fn peak_rss_reset_forgets_a_dropped_buffer() {
+        // Touch every page of a large buffer, drop it, reset: the peak must
+        // fall back below the level the buffer pushed it to.
+        if !reset_peak_rss() {
+            eprintln!("skipping: /proc/self/clear_refs is unsupported here");
+            return;
+        }
+        let buffer = vec![1u8; 64 << 20];
+        std::hint::black_box(&buffer);
+        let with_buffer = peak_rss_kb();
+        drop(buffer);
+        assert!(reset_peak_rss());
+        let after_reset = peak_rss_kb();
+        assert!(
+            after_reset < with_buffer,
+            "VmHWM {after_reset} kB after the reset, {with_buffer} kB with the buffer"
+        );
     }
 
     #[test]

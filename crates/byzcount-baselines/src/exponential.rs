@@ -8,9 +8,7 @@
 
 use crate::attack::BaselineAttack;
 use netsim_runtime::{
-    run_with_engine_fleet, Action, EngineConfig, EngineKind, Envelope, FaultPlan, MessageSize,
-    NodeContext, NullAdversary, Outbox, Protocol, Recorder, RemoteFleet, RunError, RunResult,
-    SizedMessage, Topology,
+    Action, Envelope, MessageSize, NodeContext, Outbox, Protocol, RunResult, SizedMessage, Topology,
 };
 use netsim_wire::{Reader, Wire, WireError};
 use rand::Rng;
@@ -140,72 +138,6 @@ impl Protocol for ExponentialSupportEstimator {
     }
 }
 
-/// Run the estimator over a topology.
-pub fn run_exponential_support<T: Topology>(
-    topo: &T,
-    byzantine: &[bool],
-    attack: BaselineAttack,
-    ttl: u64,
-    seed: u64,
-) -> RunResult<f64> {
-    run_exponential_support_faulty(topo, byzantine, attack, ttl, seed, None)
-}
-
-/// [`run_exponential_support`] with an optional network [`FaultPlan`]
-/// installed on the engine.
-pub fn run_exponential_support_faulty<T: Topology>(
-    topo: &T,
-    byzantine: &[bool],
-    attack: BaselineAttack,
-    ttl: u64,
-    seed: u64,
-    fault_plan: Option<Box<dyn FaultPlan>>,
-) -> RunResult<f64> {
-    run_exponential_support_engine(
-        topo,
-        byzantine,
-        attack,
-        ttl,
-        seed,
-        fault_plan,
-        EngineKind::Sync,
-    )
-}
-
-/// [`run_exponential_support_faulty`] with an explicit [`EngineKind`]
-/// (classic or sharded; results are byte-identical either way).
-pub fn run_exponential_support_engine<T: Topology>(
-    topo: &T,
-    byzantine: &[bool],
-    attack: BaselineAttack,
-    ttl: u64,
-    seed: u64,
-    fault_plan: Option<Box<dyn FaultPlan>>,
-    engine: EngineKind,
-) -> RunResult<f64> {
-    run_exponential_support_recorded(topo, byzantine, attack, ttl, seed, fault_plan, engine, None)
-}
-
-/// [`run_exponential_support_engine`] with an optional [`Recorder`]
-/// observing the run (observation-only: results are byte-identical either
-/// way).
-#[allow(clippy::too_many_arguments)]
-pub fn run_exponential_support_recorded<T: Topology>(
-    topo: &T,
-    byzantine: &[bool],
-    attack: BaselineAttack,
-    ttl: u64,
-    seed: u64,
-    fault_plan: Option<Box<dyn FaultPlan>>,
-    engine: EngineKind,
-    recorder: Option<&dyn Recorder>,
-) -> RunResult<f64> {
-    run_exponential_support_fleet(
-        topo, byzantine, attack, ttl, seed, fault_plan, engine, recorder, None,
-    )
-    .expect("in-process engines are infallible")
-}
-
 /// Build the per-node estimator states for global node ids `range` (the
 /// full run is `0..topo.len()`; shard workers build their assigned chunk).
 pub fn exponential_support_nodes(
@@ -225,38 +157,16 @@ pub fn exponential_support_nodes(
         .collect()
 }
 
-/// [`run_exponential_support_recorded`] with an optional remote
-/// shard-worker fleet for the distributed engine — the only exponential
-/// runner that can fail, and only on remote transports.
-#[allow(clippy::too_many_arguments)]
-pub fn run_exponential_support_fleet<T: Topology>(
+/// Run the estimator over a topology.
+pub fn run_exponential_support<T: Topology>(
     topo: &T,
     byzantine: &[bool],
     attack: BaselineAttack,
     ttl: u64,
     seed: u64,
-    fault_plan: Option<Box<dyn FaultPlan>>,
-    engine: EngineKind,
-    recorder: Option<&dyn Recorder>,
-    fleet: Option<&RemoteFleet>,
-) -> Result<RunResult<f64>, RunError> {
+) -> RunResult<f64> {
     let nodes = exponential_support_nodes(byzantine, attack, ttl, 0..topo.len());
-    let config = EngineConfig {
-        max_rounds: ttl + 4,
-        stop_when_all_decided: true,
-    };
-    run_with_engine_fleet(
-        engine,
-        topo,
-        nodes,
-        byzantine.to_vec(),
-        NullAdversary,
-        config,
-        seed,
-        fault_plan,
-        recorder,
-        fleet,
-    )
+    crate::run_sync(topo, nodes, byzantine, crate::flood_round_cap(ttl), seed)
 }
 
 #[cfg(test)]

@@ -10,9 +10,7 @@
 
 use crate::attack::BaselineAttack;
 use netsim_runtime::{
-    run_with_engine_fleet, Action, EngineConfig, EngineKind, Envelope, FaultPlan, MessageSize,
-    NodeContext, NullAdversary, Outbox, Protocol, Recorder, RemoteFleet, RunError, RunResult,
-    SizedMessage, Topology,
+    Action, Envelope, MessageSize, NodeContext, Outbox, Protocol, RunResult, SizedMessage, Topology,
 };
 use netsim_wire::{Reader, Wire, WireError};
 use rand_chacha::ChaCha8Rng;
@@ -95,71 +93,6 @@ impl Protocol for FloodDiameterEstimator {
     }
 }
 
-/// Run the flooding estimator with node 0 as the (honest) leader.
-pub fn run_flood_diameter<T: Topology>(
-    topo: &T,
-    byzantine: &[bool],
-    attack: BaselineAttack,
-    ttl: u64,
-    seed: u64,
-) -> RunResult<u64> {
-    run_flood_diameter_faulty(topo, byzantine, attack, ttl, seed, None)
-}
-
-/// [`run_flood_diameter`] with an optional network [`FaultPlan`] installed
-/// on the engine.
-pub fn run_flood_diameter_faulty<T: Topology>(
-    topo: &T,
-    byzantine: &[bool],
-    attack: BaselineAttack,
-    ttl: u64,
-    seed: u64,
-    fault_plan: Option<Box<dyn FaultPlan>>,
-) -> RunResult<u64> {
-    run_flood_diameter_engine(
-        topo,
-        byzantine,
-        attack,
-        ttl,
-        seed,
-        fault_plan,
-        EngineKind::Sync,
-    )
-}
-
-/// [`run_flood_diameter_faulty`] with an explicit [`EngineKind`] (classic
-/// or sharded; results are byte-identical either way).
-pub fn run_flood_diameter_engine<T: Topology>(
-    topo: &T,
-    byzantine: &[bool],
-    attack: BaselineAttack,
-    ttl: u64,
-    seed: u64,
-    fault_plan: Option<Box<dyn FaultPlan>>,
-    engine: EngineKind,
-) -> RunResult<u64> {
-    run_flood_diameter_recorded(topo, byzantine, attack, ttl, seed, fault_plan, engine, None)
-}
-
-/// [`run_flood_diameter_engine`] with an optional [`Recorder`] observing
-/// the run (observation-only: results are byte-identical either way).
-#[allow(clippy::too_many_arguments)]
-pub fn run_flood_diameter_recorded<T: Topology>(
-    topo: &T,
-    byzantine: &[bool],
-    attack: BaselineAttack,
-    ttl: u64,
-    seed: u64,
-    fault_plan: Option<Box<dyn FaultPlan>>,
-    engine: EngineKind,
-    recorder: Option<&dyn Recorder>,
-) -> RunResult<u64> {
-    run_flood_diameter_fleet(
-        topo, byzantine, attack, ttl, seed, fault_plan, engine, recorder, None,
-    )
-    .expect("in-process engines are infallible")
-}
-
 /// Build the per-node estimator states for global node ids `range` (the
 /// full run is `0..topo.len()`; shard workers build their assigned chunk).
 /// Node 0 is always the leader.
@@ -176,38 +109,16 @@ pub fn flood_diameter_nodes(
         .collect()
 }
 
-/// [`run_flood_diameter_recorded`] with an optional remote shard-worker
-/// fleet for the distributed engine — the only flood runner that can fail,
-/// and only on remote transports.
-#[allow(clippy::too_many_arguments)]
-pub fn run_flood_diameter_fleet<T: Topology>(
+/// Run the flooding estimator with node 0 as the (honest) leader.
+pub fn run_flood_diameter<T: Topology>(
     topo: &T,
     byzantine: &[bool],
     attack: BaselineAttack,
     ttl: u64,
     seed: u64,
-    fault_plan: Option<Box<dyn FaultPlan>>,
-    engine: EngineKind,
-    recorder: Option<&dyn Recorder>,
-    fleet: Option<&RemoteFleet>,
-) -> Result<RunResult<u64>, RunError> {
+) -> RunResult<u64> {
     let nodes = flood_diameter_nodes(byzantine, attack, ttl, 0..topo.len());
-    let config = EngineConfig {
-        max_rounds: ttl + 4,
-        stop_when_all_decided: true,
-    };
-    run_with_engine_fleet(
-        engine,
-        topo,
-        nodes,
-        byzantine.to_vec(),
-        NullAdversary,
-        config,
-        seed,
-        fault_plan,
-        recorder,
-        fleet,
-    )
+    crate::run_sync(topo, nodes, byzantine, crate::flood_round_cap(ttl), seed)
 }
 
 #[cfg(test)]

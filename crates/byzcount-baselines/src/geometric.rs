@@ -10,9 +10,7 @@
 use crate::attack::BaselineAttack;
 use byzcount_core::color::{sample_color, Color};
 use netsim_runtime::{
-    run_with_engine_fleet, Action, EngineConfig, EngineKind, Envelope, FaultPlan, MessageSize,
-    NodeContext, NullAdversary, Outbox, Protocol, Recorder, RemoteFleet, RunError, RunResult,
-    SizedMessage, Topology,
+    Action, Envelope, MessageSize, NodeContext, Outbox, Protocol, RunResult, SizedMessage, Topology,
 };
 use netsim_wire::{Reader, Wire, WireError};
 use rand_chacha::ChaCha8Rng;
@@ -113,75 +111,6 @@ impl Protocol for GeometricSupportEstimator {
     }
 }
 
-/// Run the estimator over a topology.
-///
-/// `byzantine[i]` marks node `i` as Byzantine with behaviour `attack`;
-/// `ttl` is the flooding horizon (use ≥ the diameter; `3·log₂ n + 5` is a
-/// safe choice on expanders).
-pub fn run_geometric_support<T: Topology>(
-    topo: &T,
-    byzantine: &[bool],
-    attack: BaselineAttack,
-    ttl: u64,
-    seed: u64,
-) -> RunResult<u32> {
-    run_geometric_support_faulty(topo, byzantine, attack, ttl, seed, None)
-}
-
-/// [`run_geometric_support`] with an optional network [`FaultPlan`]
-/// installed on the engine.
-pub fn run_geometric_support_faulty<T: Topology>(
-    topo: &T,
-    byzantine: &[bool],
-    attack: BaselineAttack,
-    ttl: u64,
-    seed: u64,
-    fault_plan: Option<Box<dyn FaultPlan>>,
-) -> RunResult<u32> {
-    run_geometric_support_engine(
-        topo,
-        byzantine,
-        attack,
-        ttl,
-        seed,
-        fault_plan,
-        EngineKind::Sync,
-    )
-}
-
-/// [`run_geometric_support_faulty`] with an explicit [`EngineKind`]
-/// (classic or sharded; results are byte-identical either way).
-pub fn run_geometric_support_engine<T: Topology>(
-    topo: &T,
-    byzantine: &[bool],
-    attack: BaselineAttack,
-    ttl: u64,
-    seed: u64,
-    fault_plan: Option<Box<dyn FaultPlan>>,
-    engine: EngineKind,
-) -> RunResult<u32> {
-    run_geometric_support_recorded(topo, byzantine, attack, ttl, seed, fault_plan, engine, None)
-}
-
-/// [`run_geometric_support_engine`] with an optional [`Recorder`] observing
-/// the run (observation-only: results are byte-identical either way).
-#[allow(clippy::too_many_arguments)]
-pub fn run_geometric_support_recorded<T: Topology>(
-    topo: &T,
-    byzantine: &[bool],
-    attack: BaselineAttack,
-    ttl: u64,
-    seed: u64,
-    fault_plan: Option<Box<dyn FaultPlan>>,
-    engine: EngineKind,
-    recorder: Option<&dyn Recorder>,
-) -> RunResult<u32> {
-    run_geometric_support_fleet(
-        topo, byzantine, attack, ttl, seed, fault_plan, engine, recorder, None,
-    )
-    .expect("in-process engines are infallible")
-}
-
 /// Build the per-node estimator states for global node ids `range` (the
 /// full run is `0..topo.len()`; shard workers build their assigned chunk).
 pub fn geometric_support_nodes(
@@ -201,38 +130,20 @@ pub fn geometric_support_nodes(
         .collect()
 }
 
-/// [`run_geometric_support_recorded`] with an optional remote shard-worker
-/// fleet for the distributed engine — the only geometric runner that can
-/// fail, and only on remote transports.
-#[allow(clippy::too_many_arguments)]
-pub fn run_geometric_support_fleet<T: Topology>(
+/// Run the estimator over a topology.
+///
+/// `byzantine[i]` marks node `i` as Byzantine with behaviour `attack`;
+/// `ttl` is the flooding horizon (use ≥ the diameter; `3·log₂ n + 5` is a
+/// safe choice on expanders).
+pub fn run_geometric_support<T: Topology>(
     topo: &T,
     byzantine: &[bool],
     attack: BaselineAttack,
     ttl: u64,
     seed: u64,
-    fault_plan: Option<Box<dyn FaultPlan>>,
-    engine: EngineKind,
-    recorder: Option<&dyn Recorder>,
-    fleet: Option<&RemoteFleet>,
-) -> Result<RunResult<u32>, RunError> {
+) -> RunResult<u32> {
     let nodes = geometric_support_nodes(byzantine, attack, ttl, 0..topo.len());
-    let config = EngineConfig {
-        max_rounds: ttl + 4,
-        stop_when_all_decided: true,
-    };
-    run_with_engine_fleet(
-        engine,
-        topo,
-        nodes,
-        byzantine.to_vec(),
-        NullAdversary,
-        config,
-        seed,
-        fault_plan,
-        recorder,
-        fleet,
-    )
+    crate::run_sync(topo, nodes, byzantine, crate::flood_round_cap(ttl), seed)
 }
 
 /// Honest nodes' decided estimates.

@@ -30,27 +30,59 @@ pub mod geometric;
 pub mod spanning_tree;
 pub mod workloads;
 
+use netsim_runtime::{
+    run_with_engine, EngineConfig, EngineKind, NullAdversary, Protocol, RunResult, Topology,
+};
+use netsim_wire::Wire;
+
 pub use attack::BaselineAttack;
 pub use exponential::{
-    exponential_support_nodes, run_exponential_support, run_exponential_support_engine,
-    run_exponential_support_faulty, run_exponential_support_fleet,
-    run_exponential_support_recorded, ExponentialSupportEstimator,
+    exponential_support_nodes, run_exponential_support, ExponentialSupportEstimator,
 };
-pub use flood_diameter::{
-    flood_diameter_nodes, run_flood_diameter, run_flood_diameter_engine, run_flood_diameter_faulty,
-    run_flood_diameter_fleet, run_flood_diameter_recorded, FloodDiameterEstimator,
-};
-pub use geometric::{
-    geometric_support_nodes, run_geometric_support, run_geometric_support_engine,
-    run_geometric_support_faulty, run_geometric_support_fleet, run_geometric_support_recorded,
-    GeometricSupportEstimator,
-};
-pub use spanning_tree::{
-    run_spanning_tree_count, run_spanning_tree_count_engine, run_spanning_tree_count_faulty,
-    run_spanning_tree_count_fleet, run_spanning_tree_count_recorded, spanning_tree_nodes,
-    SpanningTreeCounter,
-};
+pub use flood_diameter::{flood_diameter_nodes, run_flood_diameter, FloodDiameterEstimator};
+pub use geometric::{geometric_support_nodes, run_geometric_support, GeometricSupportEstimator};
+pub use spanning_tree::{run_spanning_tree_count, spanning_tree_nodes, SpanningTreeCounter};
 pub use workloads::{
     attack_from_spec, ExponentialSupportWorkload, FloodDiameterWorkload, GeometricSupportWorkload,
     SpanningTreeWorkload,
 };
+
+/// The round cap of a flooding baseline with horizon `ttl`: nodes decide
+/// at round `ttl`, and the engine allows a few rounds of slack.
+fn flood_round_cap(ttl: u64) -> u64 {
+    ttl + 4
+}
+
+/// Run `nodes` on the synchronous engine over a fault-free network with no
+/// adversary: the shared body of the plain `run_*` helpers.  Every other
+/// engine, fault plan, recorder and worker fleet is reached through the
+/// [`Estimator`](byzcount_core::sim::Estimator)s in [`workloads`].
+fn run_sync<T, P>(
+    topo: &T,
+    nodes: Vec<P>,
+    byzantine: &[bool],
+    max_rounds: u64,
+    seed: u64,
+) -> RunResult<P::Output>
+where
+    T: Topology,
+    P: Protocol<Message: Wire, Output: Send + Wire> + Clone + Send + Sync + 'static,
+{
+    let config = EngineConfig {
+        max_rounds,
+        stop_when_all_decided: true,
+    };
+    run_with_engine(
+        EngineKind::Sync,
+        topo,
+        nodes,
+        byzantine.to_vec(),
+        NullAdversary,
+        config,
+        seed,
+        None,
+        None,
+        None,
+    )
+    .expect("in-process engines are infallible")
+}

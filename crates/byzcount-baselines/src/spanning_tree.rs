@@ -11,9 +11,7 @@
 use crate::attack::BaselineAttack;
 use netsim_graph::NodeId;
 use netsim_runtime::{
-    run_with_engine_fleet, Action, EngineConfig, EngineKind, Envelope, FaultPlan, MessageSize,
-    NodeContext, NullAdversary, Outbox, Protocol, Recorder, RemoteFleet, RunError, RunResult,
-    SizedMessage, Topology,
+    Action, Envelope, MessageSize, NodeContext, Outbox, Protocol, RunResult, SizedMessage, Topology,
 };
 use netsim_wire::{Reader, Wire, WireError};
 use rand_chacha::ChaCha8Rng;
@@ -206,74 +204,6 @@ impl Protocol for SpanningTreeCounter {
     }
 }
 
-/// Run the spanning-tree counter with node 0 as root.
-pub fn run_spanning_tree_count<T: Topology>(
-    topo: &T,
-    byzantine: &[bool],
-    attack: BaselineAttack,
-    max_rounds: u64,
-    seed: u64,
-) -> RunResult<u64> {
-    run_spanning_tree_count_faulty(topo, byzantine, attack, max_rounds, seed, None)
-}
-
-/// [`run_spanning_tree_count`] with an optional network [`FaultPlan`]
-/// installed on the engine.
-pub fn run_spanning_tree_count_faulty<T: Topology>(
-    topo: &T,
-    byzantine: &[bool],
-    attack: BaselineAttack,
-    max_rounds: u64,
-    seed: u64,
-    fault_plan: Option<Box<dyn FaultPlan>>,
-) -> RunResult<u64> {
-    run_spanning_tree_count_engine(
-        topo,
-        byzantine,
-        attack,
-        max_rounds,
-        seed,
-        fault_plan,
-        EngineKind::Sync,
-    )
-}
-
-/// [`run_spanning_tree_count_faulty`] with an explicit [`EngineKind`]
-/// (classic or sharded; results are byte-identical either way).
-pub fn run_spanning_tree_count_engine<T: Topology>(
-    topo: &T,
-    byzantine: &[bool],
-    attack: BaselineAttack,
-    max_rounds: u64,
-    seed: u64,
-    fault_plan: Option<Box<dyn FaultPlan>>,
-    engine: EngineKind,
-) -> RunResult<u64> {
-    run_spanning_tree_count_recorded(
-        topo, byzantine, attack, max_rounds, seed, fault_plan, engine, None,
-    )
-}
-
-/// [`run_spanning_tree_count_engine`] with an optional [`Recorder`]
-/// observing the run (observation-only: results are byte-identical either
-/// way).
-#[allow(clippy::too_many_arguments)]
-pub fn run_spanning_tree_count_recorded<T: Topology>(
-    topo: &T,
-    byzantine: &[bool],
-    attack: BaselineAttack,
-    max_rounds: u64,
-    seed: u64,
-    fault_plan: Option<Box<dyn FaultPlan>>,
-    engine: EngineKind,
-    recorder: Option<&dyn Recorder>,
-) -> RunResult<u64> {
-    run_spanning_tree_count_fleet(
-        topo, byzantine, attack, max_rounds, seed, fault_plan, engine, recorder, None,
-    )
-    .expect("in-process engines are infallible")
-}
-
 /// Build the per-node counter states for global node ids `range` (the full
 /// run is `0..topo.len()`; shard workers build their assigned chunk).
 /// Node 0 is always the root.
@@ -287,38 +217,16 @@ pub fn spanning_tree_nodes(
         .collect()
 }
 
-/// [`run_spanning_tree_count_recorded`] with an optional remote
-/// shard-worker fleet for the distributed engine — the only spanning-tree
-/// runner that can fail, and only on remote transports.
-#[allow(clippy::too_many_arguments)]
-pub fn run_spanning_tree_count_fleet<T: Topology>(
+/// Run the spanning-tree counter with node 0 as root.
+pub fn run_spanning_tree_count<T: Topology>(
     topo: &T,
     byzantine: &[bool],
     attack: BaselineAttack,
     max_rounds: u64,
     seed: u64,
-    fault_plan: Option<Box<dyn FaultPlan>>,
-    engine: EngineKind,
-    recorder: Option<&dyn Recorder>,
-    fleet: Option<&RemoteFleet>,
-) -> Result<RunResult<u64>, RunError> {
+) -> RunResult<u64> {
     let nodes = spanning_tree_nodes(byzantine, attack, 0..topo.len());
-    let config = EngineConfig {
-        max_rounds,
-        stop_when_all_decided: true,
-    };
-    run_with_engine_fleet(
-        engine,
-        topo,
-        nodes,
-        byzantine.to_vec(),
-        NullAdversary,
-        config,
-        seed,
-        fault_plan,
-        recorder,
-        fleet,
-    )
+    crate::run_sync(topo, nodes, byzantine, max_rounds, seed)
 }
 
 #[cfg(test)]

@@ -1,23 +1,28 @@
 //! The baseline estimators behind the unified [`Estimator`] interface.
 //!
-//! Each wrapper adapts one `run_*` baseline to
-//! [`byzcount_core::sim::Estimator`], so baselines run through the same
-//! [`SimulationBuilder`](byzcount_core::sim::SimulationBuilder), produce the
-//! same [`RunReport`](byzcount_core::sim::RunReport)s and batch the same way
-//! as the real protocols.
+//! Each workload states once, in its [`EngineWorkload`] impl, how it builds
+//! its node states and derives its round cap from a [`SimContext`];
+//! [`Estimator::run`] and [`Estimator::serve_shard`] both take them from
+//! there (through [`drive_engine`] and [`serve_engine_shard`]), so
+//! baselines run through the same
+//! [`SimulationBuilder`](byzcount_core::sim::SimulationBuilder), produce
+//! the same [`RunReport`](byzcount_core::sim::RunReport)s and batch the
+//! same way as the real protocols, on every engine.
 
 use crate::attack::BaselineAttack;
 use crate::{
-    exponential_support_nodes, flood_diameter_nodes, geometric_support_nodes,
-    run_exponential_support_fleet, run_flood_diameter_fleet, run_geometric_support_fleet,
-    run_spanning_tree_count_fleet, spanning_tree_nodes,
+    exponential_support_nodes, flood_diameter_nodes, flood_round_cap, geometric_support_nodes,
+    spanning_tree_nodes, ExponentialSupportEstimator, FloodDiameterEstimator,
+    GeometricSupportEstimator, SpanningTreeCounter,
 };
 use byzcount_core::sim::{
-    AttackSpec, Estimand, Estimator, RunError, ShardServeConfig, SimContext, SimError, WorkloadRun,
+    drive_engine, serve_engine_shard, AttackSpec, EngineWorkload, Estimand, Estimator,
+    ShardServeConfig, SimContext, SimError, WorkloadRun,
 };
 use netsim_graph::log2n;
 use netsim_runtime::wire::IoStream;
-use netsim_runtime::{serve_shard_session, RunResult};
+use netsim_runtime::{NullAdversary, RunResult};
+use std::ops::Range;
 
 /// Map the spec-layer attack to the baseline crate's enum.
 pub fn attack_from_spec(spec: AttackSpec) -> BaselineAttack {
@@ -41,26 +46,28 @@ fn resolve_ttl(explicit: Option<u64>, ctx: &SimContext<'_>, derived: u64) -> u64
         .unwrap_or(derived)
 }
 
-/// Map a worker-side wire failure to the sim error space.
-fn serve_error(start: usize, end: usize, e: netsim_runtime::wire::WireError) -> SimError {
-    SimError::Engine(RunError::Fleet(format!(
-        "shard session ({start}..{end}): {e}"
-    )))
-}
-
-fn workload_run<O: Copy>(
+/// Run `workload` with no adversary (baseline attacks live in the node
+/// states) and convert its outputs to per-node estimates.
+fn run_baseline<W, O>(
+    workload: &W,
+    ctx: &SimContext<'_>,
     estimand: Estimand,
-    result: RunResult<O>,
     to_f64: impl Fn(O) -> f64,
-) -> WorkloadRun {
-    WorkloadRun {
+) -> Result<WorkloadRun, SimError>
+where
+    W: EngineWorkload,
+    W::Node: netsim_runtime::Protocol<Output = O>,
+    O: Copy,
+{
+    let result: RunResult<O> = drive_engine(workload, ctx, NullAdversary)?;
+    Ok(WorkloadRun {
         estimand,
         per_node: result.outputs.iter().map(|o| o.map(&to_f64)).collect(),
         crashed: result.crashed,
         metrics: result.metrics,
         completed: result.completed,
         counting: None,
-    }
+    })
 }
 
 /// Geometric support estimation (estimates `log₂ n`).
@@ -70,6 +77,25 @@ pub struct GeometricSupportWorkload {
     pub ttl: Option<u64>,
     /// Byzantine behaviour.
     pub attack: AttackSpec,
+}
+
+impl GeometricSupportWorkload {
+    fn ttl(&self, ctx: &SimContext<'_>) -> u64 {
+        resolve_ttl(self.ttl, ctx, default_ttl(ctx.topology.len()))
+    }
+}
+
+impl EngineWorkload for GeometricSupportWorkload {
+    type Node = GeometricSupportEstimator;
+
+    fn nodes(&self, ctx: &SimContext<'_>, range: Range<usize>) -> Vec<Self::Node> {
+        let attack = attack_from_spec(self.attack);
+        geometric_support_nodes(ctx.byzantine, attack, self.ttl(ctx), range)
+    }
+
+    fn max_rounds(&self, ctx: &SimContext<'_>) -> u64 {
+        flood_round_cap(self.ttl(ctx))
+    }
 }
 
 impl Estimator for GeometricSupportWorkload {
@@ -82,19 +108,7 @@ impl Estimator for GeometricSupportWorkload {
     }
 
     fn run(&self, ctx: &SimContext<'_>) -> Result<WorkloadRun, SimError> {
-        let ttl = resolve_ttl(self.ttl, ctx, default_ttl(ctx.topology.len()));
-        let result = run_geometric_support_fleet(
-            ctx.topology,
-            ctx.byzantine,
-            attack_from_spec(self.attack),
-            ttl,
-            ctx.seed,
-            ctx.build_fault_plan(),
-            ctx.engine,
-            ctx.recorder,
-            ctx.fleet,
-        )?;
-        Ok(workload_run(Estimand::LogN, result, |v| v as f64))
+        run_baseline(self, ctx, Estimand::LogN, |v| v as f64)
     }
 
     fn serve_shard(
@@ -104,16 +118,7 @@ impl Estimator for GeometricSupportWorkload {
         end: usize,
         chan: &mut IoStream,
     ) -> Result<(), SimError> {
-        let ttl = resolve_ttl(self.ttl, ctx, default_ttl(ctx.topology.len()));
-        let nodes = geometric_support_nodes(
-            ctx.byzantine,
-            attack_from_spec(self.attack),
-            ttl,
-            cfg.start..end,
-        );
-        let byzantine = ctx.byzantine[cfg.start..end].to_vec();
-        serve_shard_session(ctx.topology, nodes, byzantine, cfg, chan)
-            .map_err(|e| serve_error(cfg.start, end, e))
+        serve_engine_shard(self, ctx, cfg, end, chan)
     }
 }
 
@@ -126,6 +131,25 @@ pub struct ExponentialSupportWorkload {
     pub attack: AttackSpec,
 }
 
+impl ExponentialSupportWorkload {
+    fn ttl(&self, ctx: &SimContext<'_>) -> u64 {
+        resolve_ttl(self.ttl, ctx, default_ttl(ctx.topology.len()))
+    }
+}
+
+impl EngineWorkload for ExponentialSupportWorkload {
+    type Node = ExponentialSupportEstimator;
+
+    fn nodes(&self, ctx: &SimContext<'_>, range: Range<usize>) -> Vec<Self::Node> {
+        let attack = attack_from_spec(self.attack);
+        exponential_support_nodes(ctx.byzantine, attack, self.ttl(ctx), range)
+    }
+
+    fn max_rounds(&self, ctx: &SimContext<'_>) -> u64 {
+        flood_round_cap(self.ttl(ctx))
+    }
+}
+
 impl Estimator for ExponentialSupportWorkload {
     fn name(&self) -> &'static str {
         "exponential-support"
@@ -136,19 +160,7 @@ impl Estimator for ExponentialSupportWorkload {
     }
 
     fn run(&self, ctx: &SimContext<'_>) -> Result<WorkloadRun, SimError> {
-        let ttl = resolve_ttl(self.ttl, ctx, default_ttl(ctx.topology.len()));
-        let result = run_exponential_support_fleet(
-            ctx.topology,
-            ctx.byzantine,
-            attack_from_spec(self.attack),
-            ttl,
-            ctx.seed,
-            ctx.build_fault_plan(),
-            ctx.engine,
-            ctx.recorder,
-            ctx.fleet,
-        )?;
-        Ok(workload_run(Estimand::N, result, |v| v))
+        run_baseline(self, ctx, Estimand::N, |v| v)
     }
 
     fn serve_shard(
@@ -158,16 +170,7 @@ impl Estimator for ExponentialSupportWorkload {
         end: usize,
         chan: &mut IoStream,
     ) -> Result<(), SimError> {
-        let ttl = resolve_ttl(self.ttl, ctx, default_ttl(ctx.topology.len()));
-        let nodes = exponential_support_nodes(
-            ctx.byzantine,
-            attack_from_spec(self.attack),
-            ttl,
-            cfg.start..end,
-        );
-        let byzantine = ctx.byzantine[cfg.start..end].to_vec();
-        serve_shard_session(ctx.topology, nodes, byzantine, cfg, chan)
-            .map_err(|e| serve_error(cfg.start, end, e))
+        serve_engine_shard(self, ctx, cfg, end, chan)
     }
 }
 
@@ -180,6 +183,22 @@ pub struct SpanningTreeWorkload {
     pub attack: AttackSpec,
 }
 
+impl EngineWorkload for SpanningTreeWorkload {
+    type Node = SpanningTreeCounter;
+
+    fn nodes(&self, ctx: &SimContext<'_>, range: Range<usize>) -> Vec<Self::Node> {
+        spanning_tree_nodes(ctx.byzantine, attack_from_spec(self.attack), range)
+    }
+
+    fn max_rounds(&self, ctx: &SimContext<'_>) -> u64 {
+        let n = ctx.topology.len();
+        // Converge-cast needs roughly two traversals plus slack; trees and
+        // other high-diameter graphs get a cap linear in n.
+        let derived = (4 * default_ttl(n)).max(2 * n as u64 + 8);
+        self.max_rounds.or(ctx.max_rounds).unwrap_or(derived)
+    }
+}
+
 impl Estimator for SpanningTreeWorkload {
     fn name(&self) -> &'static str {
         "spanning-tree"
@@ -190,23 +209,7 @@ impl Estimator for SpanningTreeWorkload {
     }
 
     fn run(&self, ctx: &SimContext<'_>) -> Result<WorkloadRun, SimError> {
-        let n = ctx.topology.len();
-        // Converge-cast needs roughly two traversals plus slack; trees and
-        // other high-diameter graphs get a cap linear in n.
-        let derived = (4 * default_ttl(n)).max(2 * n as u64 + 8);
-        let max_rounds = self.max_rounds.or(ctx.max_rounds).unwrap_or(derived);
-        let result = run_spanning_tree_count_fleet(
-            ctx.topology,
-            ctx.byzantine,
-            attack_from_spec(self.attack),
-            max_rounds,
-            ctx.seed,
-            ctx.build_fault_plan(),
-            ctx.engine,
-            ctx.recorder,
-            ctx.fleet,
-        )?;
-        Ok(workload_run(Estimand::N, result, |v| v as f64))
+        run_baseline(self, ctx, Estimand::N, |v| v as f64)
     }
 
     fn serve_shard(
@@ -216,11 +219,7 @@ impl Estimator for SpanningTreeWorkload {
         end: usize,
         chan: &mut IoStream,
     ) -> Result<(), SimError> {
-        let nodes =
-            spanning_tree_nodes(ctx.byzantine, attack_from_spec(self.attack), cfg.start..end);
-        let byzantine = ctx.byzantine[cfg.start..end].to_vec();
-        serve_shard_session(ctx.topology, nodes, byzantine, cfg, chan)
-            .map_err(|e| serve_error(cfg.start, end, e))
+        serve_engine_shard(self, ctx, cfg, end, chan)
     }
 }
 
@@ -233,6 +232,26 @@ pub struct FloodDiameterWorkload {
     pub attack: AttackSpec,
 }
 
+impl FloodDiameterWorkload {
+    fn ttl(&self, ctx: &SimContext<'_>) -> u64 {
+        let n = ctx.topology.len();
+        resolve_ttl(self.ttl, ctx, default_ttl(n).max(n as u64))
+    }
+}
+
+impl EngineWorkload for FloodDiameterWorkload {
+    type Node = FloodDiameterEstimator;
+
+    fn nodes(&self, ctx: &SimContext<'_>, range: Range<usize>) -> Vec<Self::Node> {
+        let attack = attack_from_spec(self.attack);
+        flood_diameter_nodes(ctx.byzantine, attack, self.ttl(ctx), range)
+    }
+
+    fn max_rounds(&self, ctx: &SimContext<'_>) -> u64 {
+        flood_round_cap(self.ttl(ctx))
+    }
+}
+
 impl Estimator for FloodDiameterWorkload {
     fn name(&self) -> &'static str {
         "flood-diameter"
@@ -243,20 +262,7 @@ impl Estimator for FloodDiameterWorkload {
     }
 
     fn run(&self, ctx: &SimContext<'_>) -> Result<WorkloadRun, SimError> {
-        let n = ctx.topology.len();
-        let ttl = resolve_ttl(self.ttl, ctx, default_ttl(n).max(n as u64));
-        let result = run_flood_diameter_fleet(
-            ctx.topology,
-            ctx.byzantine,
-            attack_from_spec(self.attack),
-            ttl,
-            ctx.seed,
-            ctx.build_fault_plan(),
-            ctx.engine,
-            ctx.recorder,
-            ctx.fleet,
-        )?;
-        Ok(workload_run(Estimand::Diameter, result, |v| v as f64))
+        run_baseline(self, ctx, Estimand::Diameter, |v| v as f64)
     }
 
     fn serve_shard(
@@ -266,17 +272,7 @@ impl Estimator for FloodDiameterWorkload {
         end: usize,
         chan: &mut IoStream,
     ) -> Result<(), SimError> {
-        let n = ctx.topology.len();
-        let ttl = resolve_ttl(self.ttl, ctx, default_ttl(n).max(n as u64));
-        let nodes = flood_diameter_nodes(
-            ctx.byzantine,
-            attack_from_spec(self.attack),
-            ttl,
-            cfg.start..end,
-        );
-        let byzantine = ctx.byzantine[cfg.start..end].to_vec();
-        serve_shard_session(ctx.topology, nodes, byzantine, cfg, chan)
-            .map_err(|e| serve_error(cfg.start, end, e))
+        serve_engine_shard(self, ctx, cfg, end, chan)
     }
 }
 

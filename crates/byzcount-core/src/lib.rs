@@ -71,10 +71,6 @@ pub use messages::CountingMessage;
 pub use node::{CountingNode, Decision};
 pub use outcome::{CountingOutcome, EstimateEvaluation};
 pub use params::ProtocolParams;
-pub use runner::{
-    round_cap, run_basic_counting, run_basic_counting_on, run_basic_counting_on_with,
-    run_basic_counting_with, run_counting_custom, run_counting_faulty, run_counting_on,
-    run_counting_with,
-};
+pub use runner::{round_cap, run_basic_counting, run_basic_counting_with, run_counting_with};
 pub use schedule::{PhasePosition, Position, Schedule, DISCOVERY_ROUNDS};
 pub use sim::{Simulation, SimulationBuilder};

@@ -1,15 +1,20 @@
-//! Convenience runners: wire a network, parameters, a Byzantine mask and an
-//! adversary into the synchronous engine and collect a [`CountingOutcome`].
+//! The counting protocols' engine inputs, and the direct runners for
+//! protocol-level work.
+//!
+//! [`counting_nodes`] and [`round_cap`] are the single definition of how a
+//! counting run is built; the spec-driven path
+//! ([`CountingEstimator`](crate::sim::CountingEstimator)) and the direct
+//! runners below both take them from here.  The direct runners drive the
+//! synchronous engine on a fault-free network; every other engine, fault
+//! plan, recorder and worker fleet is reached through the
+//! [`Simulation`](crate::sim::Simulation) API.
 
 use crate::node::{CountingNode, Decision};
 use crate::outcome::CountingOutcome;
 use crate::params::ProtocolParams;
 use crate::schedule::Schedule;
-use netsim_faults::FaultPlan;
-use netsim_graph::SmallWorldNetwork;
 use netsim_runtime::{
-    run_with_engine_fleet, Adversary, EngineConfig, EngineKind, NullAdversary, Recorder,
-    RemoteFleet, RunError, Topology,
+    run_with_engine, Adversary, EngineConfig, EngineKind, NullAdversary, RunResult, Topology,
 };
 
 /// How many phases past the reference decision phase the engine allows
@@ -49,7 +54,7 @@ pub fn round_cap(params: &ProtocolParams, n: usize) -> u64 {
 
 /// Run the *Byzantine* counting protocol (Algorithm 2) over any topology
 /// with an arbitrary adversary.
-pub fn run_counting_on<T, A>(
+pub fn run_counting_with<T, A>(
     net: &T,
     params: &ProtocolParams,
     byzantine: &[bool],
@@ -60,23 +65,30 @@ where
     T: Topology,
     A: Adversary<CountingNode>,
 {
-    run_variant(net, params, byzantine, adversary, true, seed)
+    run_sync(net, params, byzantine, adversary, true, seed)
 }
 
-/// Run the *basic* counting protocol (Algorithm 1) over any topology without
-/// Byzantine nodes.
-pub fn run_basic_counting_on<T: Topology>(
+/// Run the *basic* counting protocol (Algorithm 1) over any topology
+/// without Byzantine nodes.
+pub fn run_basic_counting<T: Topology>(
     net: &T,
     params: &ProtocolParams,
     seed: u64,
 ) -> CountingOutcome {
-    let byzantine = vec![false; net.len()];
-    run_variant(net, params, &byzantine, NullAdversary, false, seed)
+    run_sync(
+        net,
+        params,
+        &vec![false; net.len()],
+        NullAdversary,
+        false,
+        seed,
+    )
 }
 
 /// Run the basic protocol (no verification) over any topology but *with*
-/// Byzantine nodes and an adversary.
-pub fn run_basic_counting_on_with<T, A>(
+/// Byzantine nodes and an adversary — used to demonstrate why Algorithm 1
+/// alone is not Byzantine-tolerant.
+pub fn run_basic_counting_with<T, A>(
     net: &T,
     params: &ProtocolParams,
     byzantine: &[bool],
@@ -87,50 +99,10 @@ where
     T: Topology,
     A: Adversary<CountingNode>,
 {
-    run_variant(net, params, byzantine, adversary, false, seed)
+    run_sync(net, params, byzantine, adversary, false, seed)
 }
 
-/// Run the *Byzantine* counting protocol (Algorithm 2) with an arbitrary
-/// adversary.
-pub fn run_counting_with<A>(
-    net: &SmallWorldNetwork,
-    params: &ProtocolParams,
-    byzantine: &[bool],
-    adversary: A,
-    seed: u64,
-) -> CountingOutcome
-where
-    A: Adversary<CountingNode>,
-{
-    run_counting_on(net, params, byzantine, adversary, seed)
-}
-
-/// Run the *basic* counting protocol (Algorithm 1) without Byzantine nodes.
-pub fn run_basic_counting(
-    net: &SmallWorldNetwork,
-    params: &ProtocolParams,
-    seed: u64,
-) -> CountingOutcome {
-    run_basic_counting_on(net, params, seed)
-}
-
-/// Run the basic protocol (no verification) but *with* Byzantine nodes and an
-/// adversary — used to demonstrate why Algorithm 1 alone is not
-/// Byzantine-tolerant.
-pub fn run_basic_counting_with<A>(
-    net: &SmallWorldNetwork,
-    params: &ProtocolParams,
-    byzantine: &[bool],
-    adversary: A,
-    seed: u64,
-) -> CountingOutcome
-where
-    A: Adversary<CountingNode>,
-{
-    run_basic_counting_on_with(net, params, byzantine, adversary, seed)
-}
-
-fn run_variant<T, A>(
+fn run_sync<T, A>(
     net: &T,
     params: &ProtocolParams,
     byzantine: &[bool],
@@ -138,166 +110,44 @@ fn run_variant<T, A>(
     verify: bool,
     seed: u64,
 ) -> CountingOutcome
-where
-    T: Topology,
-    A: Adversary<CountingNode>,
-{
-    run_counting_custom(net, params, byzantine, adversary, verify, seed, None)
-}
-
-/// Run either counting variant with full control: `verify` selects
-/// Algorithm 2 over Algorithm 1, and `max_rounds` overrides the
-/// schedule-derived round cap (the simulation API uses this for workloads
-/// on non-expander topologies, where the analytic cap may not apply).
-pub fn run_counting_custom<T, A>(
-    net: &T,
-    params: &ProtocolParams,
-    byzantine: &[bool],
-    adversary: A,
-    verify: bool,
-    seed: u64,
-    max_rounds: Option<u64>,
-) -> CountingOutcome
-where
-    T: Topology,
-    A: Adversary<CountingNode>,
-{
-    run_counting_faulty(
-        net, params, byzantine, adversary, verify, seed, max_rounds, None,
-    )
-}
-
-/// [`run_counting_custom`] with an optional network [`FaultPlan`] installed
-/// on the engine: honest traffic may be lost, delayed or deferred, and
-/// honest nodes may churn in and out.
-#[allow(clippy::too_many_arguments)]
-pub fn run_counting_faulty<T, A>(
-    net: &T,
-    params: &ProtocolParams,
-    byzantine: &[bool],
-    adversary: A,
-    verify: bool,
-    seed: u64,
-    max_rounds: Option<u64>,
-    fault_plan: Option<Box<dyn FaultPlan>>,
-) -> CountingOutcome
-where
-    T: Topology,
-    A: Adversary<CountingNode>,
-{
-    run_counting_engine(
-        net,
-        params,
-        byzantine,
-        adversary,
-        verify,
-        seed,
-        max_rounds,
-        fault_plan,
-        EngineKind::Sync,
-    )
-}
-
-/// [`run_counting_faulty`] with an explicit [`EngineKind`]: the classic
-/// engine or the sharded engine with a given shard count.  The engine
-/// choice is execution policy only — outcomes are byte-identical for equal
-/// inputs, whichever engine runs them.
-#[allow(clippy::too_many_arguments)]
-pub fn run_counting_engine<T, A>(
-    net: &T,
-    params: &ProtocolParams,
-    byzantine: &[bool],
-    adversary: A,
-    verify: bool,
-    seed: u64,
-    max_rounds: Option<u64>,
-    fault_plan: Option<Box<dyn FaultPlan>>,
-    engine: EngineKind,
-) -> CountingOutcome
-where
-    T: Topology,
-    A: Adversary<CountingNode>,
-{
-    run_counting_recorded(
-        net, params, byzantine, adversary, verify, seed, max_rounds, fault_plan, engine, None,
-    )
-}
-
-/// [`run_counting_engine`] with an optional [`Recorder`] observing the run.
-/// Recorders are observation-only: the outcome is byte-identical with any
-/// recorder installed or none.
-#[allow(clippy::too_many_arguments)]
-pub fn run_counting_recorded<T, A>(
-    net: &T,
-    params: &ProtocolParams,
-    byzantine: &[bool],
-    adversary: A,
-    verify: bool,
-    seed: u64,
-    max_rounds: Option<u64>,
-    fault_plan: Option<Box<dyn FaultPlan>>,
-    engine: EngineKind,
-    recorder: Option<&dyn Recorder>,
-) -> CountingOutcome
-where
-    T: Topology,
-    A: Adversary<CountingNode>,
-{
-    run_counting_fleet(
-        net, params, byzantine, adversary, verify, seed, max_rounds, fault_plan, engine, recorder,
-        None,
-    )
-    .expect("in-process engines are infallible")
-}
-
-/// [`run_counting_recorded`] with an optional [`RemoteFleet`]: when the
-/// engine is distributed and a fleet is given, shard workers are dialed
-/// over sockets instead of spawned as in-process threads.  This is the
-/// only counting runner that can fail — every wire mishap surfaces as a
-/// [`RunError`] instead of a panic.
-#[allow(clippy::too_many_arguments)]
-pub fn run_counting_fleet<T, A>(
-    net: &T,
-    params: &ProtocolParams,
-    byzantine: &[bool],
-    adversary: A,
-    verify: bool,
-    seed: u64,
-    max_rounds: Option<u64>,
-    fault_plan: Option<Box<dyn FaultPlan>>,
-    engine: EngineKind,
-    recorder: Option<&dyn Recorder>,
-    fleet: Option<&RemoteFleet>,
-) -> Result<CountingOutcome, RunError>
 where
     T: Topology,
     A: Adversary<CountingNode>,
 {
     let n = net.len();
     assert_eq!(byzantine.len(), n, "byzantine mask must cover every node");
-    let nodes = counting_nodes(params, verify, 0..n);
     let config = EngineConfig {
-        max_rounds: max_rounds.unwrap_or_else(|| round_cap(params, n)),
+        max_rounds: round_cap(params, n),
         stop_when_all_decided: true,
     };
-    let result = run_with_engine_fleet(
-        engine,
+    let result = run_with_engine(
+        EngineKind::Sync,
         net,
-        nodes,
+        counting_nodes(params, verify, 0..n),
         byzantine.to_vec(),
         adversary,
         config,
         seed,
-        fault_plan,
-        recorder,
-        fleet,
-    )?;
-    Ok(CountingOutcome {
-        n,
+        None,
+        None,
+        None,
+    )
+    .expect("in-process engines are infallible");
+    counting_outcome(result, byzantine, params)
+}
+
+/// Assemble a [`CountingOutcome`] from an engine result.
+pub(crate) fn counting_outcome(
+    result: RunResult<Decision>,
+    byzantine: &[bool],
+    params: &ProtocolParams,
+) -> CountingOutcome {
+    CountingOutcome {
+        n: result.outputs.len(),
         estimates: result
             .outputs
             .iter()
-            .map(|o| o.as_ref().map(|d: &Decision| d.phase))
+            .map(|o| o.as_ref().map(|d| d.phase))
             .collect(),
         decided_round: result.decided_round,
         crashed: result.crashed,
@@ -305,12 +155,13 @@ where
         params: *params,
         metrics: result.metrics,
         completed: result.completed,
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim_graph::SmallWorldNetwork;
 
     #[test]
     fn round_cap_grows_with_n() {

@@ -14,12 +14,13 @@ use crate::runner;
 use crate::sim::error::SimError;
 use crate::sim::spec::BuiltTopology;
 use netsim_faults::{FaultPlan, FaultSpec};
-use netsim_runtime::wire::IoStream;
+use netsim_runtime::wire::{IoStream, Wire};
 use netsim_runtime::{
-    Adversary, EngineKind, NullAdversary, Recorder, RemoteFleet, RunError, RunMetrics,
-    ShardServeConfig,
+    run_with_engine, serve_shard_session, Adversary, EngineConfig, EngineKind, NullAdversary,
+    Protocol, Recorder, RemoteFleet, RunError, RunMetrics, RunResult, ShardServeConfig,
 };
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// What a workload's per-node outputs estimate.
@@ -141,6 +142,81 @@ pub trait Estimator: Send + Sync {
     }
 }
 
+/// How a workload builds its engine inputs from a [`SimContext`].
+///
+/// This is the one place a workload states how it constructs its node
+/// states and how it derives its round cap.  [`drive_engine`] (behind
+/// [`Estimator::run`]) builds the whole `0..n` range and
+/// [`serve_engine_shard`] (behind [`Estimator::serve_shard`]) builds a
+/// shard worker's chunk from the same [`nodes`](Self::nodes), which is what
+/// the distributed engine's byte-identity contract requires: node
+/// construction must be a pure function of `(ctx, global node id)`.
+pub trait EngineWorkload {
+    /// The per-node protocol state.
+    type Node: Protocol<Message: Wire, Output: Send + Wire> + Clone + Send + Sync + 'static;
+
+    /// The node states for global node ids `range`.
+    fn nodes(&self, ctx: &SimContext<'_>, range: Range<usize>) -> Vec<Self::Node>;
+
+    /// The engine round cap.
+    fn max_rounds(&self, ctx: &SimContext<'_>) -> u64;
+}
+
+/// Run `workload` once under `adversary` on the engine, fault plan,
+/// recorder and fleet `ctx` selects.
+pub fn drive_engine<W, A>(
+    workload: &W,
+    ctx: &SimContext<'_>,
+    adversary: A,
+) -> Result<RunResult<<W::Node as Protocol>::Output>, SimError>
+where
+    W: EngineWorkload,
+    A: Adversary<W::Node>,
+{
+    let config = EngineConfig {
+        max_rounds: workload.max_rounds(ctx),
+        stop_when_all_decided: true,
+    };
+    Ok(run_with_engine(
+        ctx.engine,
+        ctx.topology,
+        workload.nodes(ctx, 0..ctx.topology.len()),
+        ctx.byzantine.to_vec(),
+        adversary,
+        config,
+        ctx.seed,
+        ctx.build_fault_plan(),
+        ctx.recorder,
+        ctx.fleet,
+    )?)
+}
+
+/// Serve one shard-worker session of `workload` for global node ids
+/// `cfg.start..end` (see [`Estimator::serve_shard`]).
+pub fn serve_engine_shard<W: EngineWorkload>(
+    workload: &W,
+    ctx: &SimContext<'_>,
+    cfg: &ShardServeConfig,
+    end: usize,
+    chan: &mut IoStream,
+) -> Result<(), SimError> {
+    let range = cfg.start..end;
+    let byzantine = ctx.byzantine[range.clone()].to_vec();
+    serve_shard_session(
+        ctx.topology,
+        workload.nodes(ctx, range),
+        byzantine,
+        cfg,
+        chan,
+    )
+    .map_err(|e| {
+        SimError::Engine(RunError::Fleet(format!(
+            "shard session ({}..{end}): {e}",
+            cfg.start
+        )))
+    })
+}
+
 /// Builds a fresh adversary for each run of a counting workload (adversaries
 /// are stateful and consumed by the engine, so batches need a factory, not
 /// an instance).
@@ -230,19 +306,8 @@ impl Estimator for CountingEstimator {
 
     fn run(&self, ctx: &SimContext<'_>) -> Result<WorkloadRun, SimError> {
         let adversary = self.adversary.build(ctx, &self.params)?;
-        let outcome = runner::run_counting_fleet(
-            ctx.topology,
-            &self.params,
-            ctx.byzantine,
-            adversary,
-            self.verify,
-            ctx.seed,
-            ctx.max_rounds,
-            ctx.build_fault_plan(),
-            ctx.engine,
-            ctx.recorder,
-            ctx.fleet,
-        )?;
+        let result = drive_engine(self, ctx, adversary)?;
+        let outcome = runner::counting_outcome(result, ctx.byzantine, &self.params);
         Ok(WorkloadRun {
             estimand: Estimand::LogN,
             per_node: outcome
@@ -264,16 +329,20 @@ impl Estimator for CountingEstimator {
         end: usize,
         chan: &mut IoStream,
     ) -> Result<(), SimError> {
-        let nodes = runner::counting_nodes(&self.params, self.verify, cfg.start..end);
-        let byzantine = ctx.byzantine[cfg.start..end].to_vec();
-        netsim_runtime::serve_shard_session(ctx.topology, nodes, byzantine, cfg, chan).map_err(
-            |e| {
-                SimError::Engine(RunError::Fleet(format!(
-                    "shard session ({}..{end}): {e}",
-                    cfg.start
-                )))
-            },
-        )
+        serve_engine_shard(self, ctx, cfg, end, chan)
+    }
+}
+
+impl EngineWorkload for CountingEstimator {
+    type Node = CountingNode;
+
+    fn nodes(&self, _ctx: &SimContext<'_>, range: Range<usize>) -> Vec<CountingNode> {
+        runner::counting_nodes(&self.params, self.verify, range)
+    }
+
+    fn max_rounds(&self, ctx: &SimContext<'_>) -> u64 {
+        ctx.max_rounds
+            .unwrap_or_else(|| runner::round_cap(&self.params, ctx.topology.len()))
     }
 }
 

@@ -39,8 +39,8 @@ pub use builder::{
 };
 pub use error::SimError;
 pub use estimator::{
-    AdversaryFactory, CountingEstimator, Estimand, Estimator, NullAdversaryFactory, SimContext,
-    WorkloadRun,
+    drive_engine, serve_engine_shard, AdversaryFactory, CountingEstimator, EngineWorkload,
+    Estimand, Estimator, NullAdversaryFactory, SimContext, WorkloadRun,
 };
 pub use report::{
     Aggregate, BatchReport, CountingSummary, EstimateStats, RunReport, SizeAggregate,

@@ -27,20 +27,27 @@
 //! canonical (sorted by sender), so a run is a pure function of
 //! `(topology, protocol, adversary, seed)` regardless of thread scheduling.
 //!
-//! Four engines execute the same semantics: the classic
+//! Five engines execute the same semantics: the classic
 //! [`engine::SyncEngine`], the node-range-partitioned
 //! [`sharded::ShardedSyncEngine`], the event-driven
 //! [`async_engine::AsyncEngine`] (per-node virtual clocks over a
 //! deterministic calendar queue — byte-identical to the synchronous
 //! engines under [`async_engine::ClockPlan::Uniform`], and the gateway to
-//! heterogeneous-clock scenarios beyond the synchronous model), and the
+//! heterogeneous-clock scenarios beyond the synchronous model), the
 //! [`sharded_async::ShardedAsyncEngine`] (per-shard calendar queues and
-//! clock domains rendezvousing only at routing).  The event-driven
+//! clock domains rendezvousing only at routing), and the
+//! [`distributed::DistributedSyncEngine`] (shard workers owning private
+//! node ranges, speaking [`wire`]'s binary protocol to a coordinator over
+//! in-process pipes or Unix/TCP sockets).  The event-driven
 //! engines additionally *sparse-tick*: when the adversary is
 //! [`adversary::Adversary::idle_passive`] and no fault plan is installed,
 //! virtual time jumps straight to the next scheduled event, making
 //! idle-heavy heterogeneous-clock runs cost O(events) instead of
 //! O(ticks) — with byte-identical results.
+//!
+//! [`run_with_engine`] is the one dispatch point over all five: it takes
+//! the engine kind, the node states, the adversary, and the optional
+//! fault plan, recorder and remote worker fleet of one run.
 
 pub mod adversary;
 pub mod async_engine;
@@ -64,10 +71,7 @@ pub use message::{Envelope, MessageSize, SizedMessage};
 pub use metrics::RunMetrics;
 pub use node::{Action, NodeContext, NodeStatus, Outbox, Protocol};
 pub use ring::DelayRing;
-pub use sharded::{
-    run_with_engine, run_with_engine_fleet, run_with_engine_recorded, shard_bounds, EngineKind,
-    ShardedSyncEngine,
-};
+pub use sharded::{run_with_engine, shard_bounds, EngineKind, ShardedSyncEngine};
 pub use sharded_async::ShardedAsyncEngine;
 pub use topology::Topology;
 
@@ -101,10 +105,7 @@ pub mod prelude {
     pub use crate::message::{Envelope, MessageSize, SizedMessage};
     pub use crate::metrics::RunMetrics;
     pub use crate::node::{Action, NodeContext, NodeStatus, Outbox, Protocol};
-    pub use crate::sharded::{
-        run_with_engine, run_with_engine_fleet, run_with_engine_recorded, EngineKind,
-        ShardedSyncEngine,
-    };
+    pub use crate::sharded::{run_with_engine, EngineKind, ShardedSyncEngine};
     pub use crate::sharded_async::ShardedAsyncEngine;
     pub use crate::topology::Topology;
     pub use netsim_faults::{ChurnEvent, EnvelopeFate, FaultPlan, FaultSpec, NoFaults};

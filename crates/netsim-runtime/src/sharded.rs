@@ -130,9 +130,20 @@ pub fn shard_bounds(n: usize, shards: usize) -> Vec<usize> {
 
 /// Run a protocol through the engine selected by `kind`.
 ///
-/// This is the single dispatch point the spec-driven runners (counting and
-/// all baselines) go through, so an engine knob in a `RunSpec` reaches
-/// every workload the same way.
+/// This is the single dispatch point every workload goes through (the
+/// counting protocols and all baselines, via their `Estimator`s), so an
+/// engine knob in a `RunSpec` reaches every workload the same way.
+///
+/// * `fault_plan` makes the network lossy, slow, churning or partitioned
+///   (`None` = a perfect network).
+/// * `recorder` observes phase spans, counters and gauges.  With `None`
+///   every instrumentation site is a single never-taken branch per phase
+///   boundary, and the result is byte-identical either way — recorders
+///   observe, they never steer.
+/// * `fleet` is a *transport* knob for the distributed engine only: with
+///   `kind = Distributed` and a non-empty fleet, workers are dialed as
+///   separate processes; every other engine kind ignores it, and results
+///   are byte-identical across transports.
 ///
 /// # Errors
 /// Only the distributed engine can fail (a lost worker channel surfaces
@@ -140,68 +151,6 @@ pub fn shard_bounds(n: usize, shards: usize) -> Vec<usize> {
 /// is infallible and always returns `Ok`.
 #[allow(clippy::too_many_arguments)]
 pub fn run_with_engine<T, P, A>(
-    kind: EngineKind,
-    topology: &T,
-    states: Vec<P>,
-    byzantine: Vec<bool>,
-    adversary: A,
-    config: EngineConfig,
-    seed: u64,
-    fault_plan: Option<Box<dyn FaultPlan>>,
-) -> Result<RunResult<P::Output>, crate::distributed::RunError>
-where
-    T: Topology,
-    P: Protocol + Clone + Send + Sync + 'static,
-    P::Output: Send + netsim_wire::Wire,
-    P::Message: netsim_wire::Wire,
-    A: Adversary<P>,
-{
-    run_with_engine_recorded(
-        kind, topology, states, byzantine, adversary, config, seed, fault_plan, None,
-    )
-}
-
-/// [`run_with_engine`] with an optional [`Recorder`] attached to whichever
-/// engine `kind` selects.
-///
-/// This is the observability entry point: with `recorder = None` it is
-/// exactly `run_with_engine` (the recorder field stays `None` and every
-/// instrumentation site is a single never-taken branch per phase
-/// boundary), and the run result is byte-identical either way — recorders
-/// observe, they never steer.
-#[allow(clippy::too_many_arguments)]
-pub fn run_with_engine_recorded<T, P, A>(
-    kind: EngineKind,
-    topology: &T,
-    states: Vec<P>,
-    byzantine: Vec<bool>,
-    adversary: A,
-    config: EngineConfig,
-    seed: u64,
-    fault_plan: Option<Box<dyn FaultPlan>>,
-    recorder: Option<&dyn Recorder>,
-) -> Result<RunResult<P::Output>, crate::distributed::RunError>
-where
-    T: Topology,
-    P: Protocol + Clone + Send + Sync + 'static,
-    P::Output: Send + netsim_wire::Wire,
-    P::Message: netsim_wire::Wire,
-    A: Adversary<P>,
-{
-    run_with_engine_fleet(
-        kind, topology, states, byzantine, adversary, config, seed, fault_plan, recorder, None,
-    )
-}
-
-/// [`run_with_engine_recorded`] with an optional remote worker
-/// [`RemoteFleet`](crate::distributed::RemoteFleet).
-///
-/// The fleet is a *transport* knob for the distributed engine only: with
-/// `kind = Distributed` and a non-empty fleet, workers are dialed as
-/// separate processes; every other engine kind ignores it (they have no
-/// workers to place), and results are byte-identical across transports.
-#[allow(clippy::too_many_arguments)]
-pub fn run_with_engine_fleet<T, P, A>(
     kind: EngineKind,
     topology: &T,
     states: Vec<P>,
@@ -1318,6 +1267,8 @@ mod tests {
                 NullAdversary,
                 EngineConfig::default(),
                 9,
+                None,
+                None,
                 None,
             )
             .expect("in-process transports are infallible")

@@ -72,12 +72,28 @@
 //! assert!(batch.aggregate_for(256).unwrap().good_fraction.unwrap().mean > 0.8);
 //! ```
 //!
+//! ## One run path
+//!
+//! Every workload — both counting protocols and the four baselines —
+//! reaches the engines the same way: [`Simulation`](prelude::Simulation)
+//! (or [`sim::execute`]) prepares the spec, the registry hands out the
+//! workload's [`Estimator`](byzcount_core::sim::Estimator), and
+//! [`Estimator::run`](byzcount_core::sim::Estimator::run) drives
+//! [`run_with_engine`](prelude::run_with_engine) with the engine, fault
+//! plan, recorder and worker fleet the spec selects.  A shard worker
+//! rebuilds its node range through
+//! [`Estimator::serve_shard`](byzcount_core::sim::Estimator::serve_shard)
+//! from the same per-workload definition
+//! ([`EngineWorkload`](byzcount_core::sim::EngineWorkload)).
+//!
 //! The lower-level pieces remain available for protocol work: generate a
 //! network with [`SmallWorldNetwork::generate_seeded`](prelude::SmallWorldNetwork),
-//! drive the engine directly with
-//! [`run_counting_with`](prelude::run_counting_with), or implement
-//! [`Estimator`](byzcount_core::sim::Estimator) for a custom workload and
-//! plug it into the same machinery.
+//! run a counting protocol on the synchronous engine with
+//! [`run_counting_with`](prelude::run_counting_with) or
+//! [`run_basic_counting`](prelude::run_basic_counting), a baseline with
+//! [`run_geometric_support`](prelude::run_geometric_support) and its
+//! siblings, or implement [`Estimator`](byzcount_core::sim::Estimator) for
+//! a custom workload and plug it into the same machinery.
 
 pub use byzcount_adversary as adversary;
 pub use byzcount_analysis as analysis;
@@ -124,9 +140,8 @@ pub mod prelude {
         WorkloadSpec, SPEC_VERSION,
     };
     pub use byzcount_core::{
-        run_basic_counting, run_basic_counting_on, run_basic_counting_with, run_counting_on,
-        run_counting_with, CountingNode, CountingOutcome, Decision, EstimateEvaluation,
-        ProtocolParams, Schedule,
+        run_basic_counting, run_basic_counting_with, run_counting_with, CountingNode,
+        CountingOutcome, Decision, EstimateEvaluation, ProtocolParams, Schedule,
     };
     pub use netsim_graph::prelude::*;
     pub use netsim_runtime::prelude::*;
