@@ -91,6 +91,15 @@ impl Protocol for FloodDiameterEstimator {
             Action::Continue
         }
     }
+
+    /// Past round 0 a node only reacts to its inbox, except for its first
+    /// decision, due at `ttl` (round 0 never decides, so at round 1 for
+    /// `ttl = 0`); after that every empty-inbox step repeats the same
+    /// `Decide`.
+    fn next_wake(&self, round: u64) -> Option<u64> {
+        let decide_at = self.ttl.max(1);
+        (round < decide_at).then_some(decide_at)
+    }
 }
 
 /// Build the per-node estimator states for global node ids `range` (the

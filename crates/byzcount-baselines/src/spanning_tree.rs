@@ -202,6 +202,13 @@ impl Protocol for SpanningTreeCounter {
         }
         Action::Continue
     }
+
+    /// Only the root's round-0 bootstrap acts on the clock.  Every later
+    /// step is driven by its inbox: with the state unchanged, the
+    /// converge-cast condition just evaluated cannot newly hold.
+    fn next_wake(&self, _round: u64) -> Option<u64> {
+        None
+    }
 }
 
 /// Build the per-node counter states for global node ids `range` (the full

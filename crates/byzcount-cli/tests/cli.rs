@@ -6,8 +6,8 @@
 //! including a SIGKILL mid-run that must surface as a clean error.
 
 use byzcount_core::sim::{
-    AdversarySpec, BatchSpec, EngineSpec, FaultSpec, ParamsSpec, PlacementSpec, RunSpec,
-    SeedPolicy, TopologySpec, WorkloadSpec, SPEC_VERSION,
+    AdversarySpec, AttackSpec, BatchSpec, EngineSpec, FaultSpec, ParamsSpec, PlacementSpec,
+    RunSpec, SeedPolicy, TopologySpec, WorkloadSpec, SPEC_VERSION,
 };
 use std::io::BufRead;
 use std::path::PathBuf;
@@ -315,21 +315,39 @@ fn shard_worker_processes_produce_byte_identical_reports() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Open file descriptors of process `pid`, or `None` where `/proc` is
+/// unavailable.
+fn open_fds(pid: u32) -> Option<usize> {
+    std::fs::read_dir(format!("/proc/{pid}/fd"))
+        .ok()
+        .map(|dir| dir.count())
+}
+
 #[test]
 fn sigkilled_shard_worker_surfaces_as_a_clean_error_not_a_panic() {
     // Kill-and-recover: SIGKILL the worker process mid-run.  The
     // coordinator must exit nonzero with a `WorkerLost`-style message on
-    // stderr — never a panic, never a hang.  The spec is sized so a
-    // debug-mode remote run takes several seconds; the kill lands ~1 s
-    // in, far from both edges.
+    // stderr — never a panic, never a hang.  Both edges are pinned
+    // without a sleep: the flood's horizon is so far away that the run
+    // cannot finish before the kill, and the kill waits until the worker
+    // has accepted both shards' sessions.
     let dir = std::env::temp_dir().join(format!("byzcount-cli-kill-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    let spec_path = dir.join("dist2-big.json");
-    std::fs::write(&spec_path, dist_run_spec(1024, 2, 11).to_json()).unwrap();
+    let spec_path = dir.join("dist2-endless.json");
+    let mut spec = dist_run_spec(256, 2, 11);
+    spec.topology = TopologySpec::SmallWorldH { n: 256, d: 6 };
+    spec.workload = WorkloadSpec::FloodDiameter {
+        ttl: Some(1 << 40),
+        attack: AttackSpec::None,
+    };
+    spec.placement = PlacementSpec::None;
+    spec.adversary = AdversarySpec::Null;
+    std::fs::write(&spec_path, spec.to_json()).unwrap();
 
     let mut worker = spawn_shard_worker(&format!("unix:{}", dir.join("victim.sock").display()));
-    let run = bin()
+    let idle_fds = open_fds(worker.child.id());
+    let mut run = bin()
         .args([
             "run",
             spec_path.to_str().unwrap(),
@@ -341,10 +359,36 @@ fn sigkilled_shard_worker_surfaces_as_a_clean_error_not_a_panic() {
         .stderr(Stdio::piped())
         .spawn()
         .expect("spawn run");
-    std::thread::sleep(Duration::from_millis(1200));
+    let deadline = Instant::now() + Duration::from_secs(60);
+    match idle_fds {
+        // Each accepted shard session holds one more descriptor.
+        Some(idle) => {
+            while open_fds(worker.child.id()).unwrap_or(0) < idle + 2 {
+                assert!(
+                    Instant::now() < deadline,
+                    "the coordinator never opened both shard sessions"
+                );
+                assert!(
+                    run.try_wait().expect("poll run").is_none(),
+                    "the run exited before the kill"
+                );
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        }
+        // No `/proc`: the run cannot finish, so only the dial must land
+        // first, and it does within a second.
+        None => std::thread::sleep(Duration::from_millis(1200)),
+    }
     // SIGKILL, not a graceful shutdown: the worker gets no chance to
     // flush or close cleanly.
     worker.child.kill().expect("SIGKILL the worker");
+    while run.try_wait().expect("poll run").is_none() {
+        if Instant::now() >= deadline {
+            let _ = run.kill();
+            panic!("the coordinator hung after losing its worker");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
     let out = run.wait_with_output().expect("run exits");
     assert!(
         !out.status.success(),

@@ -872,6 +872,7 @@ where
         self.byz_default.clear();
         self.queue
             .drain_class_into(tick, EventClass::NodeStep, &mut scratch);
+        let mut stepped = 0u64;
         for &(node, _) in scratch.iter() {
             let i = node as usize;
             self.queue.push(
@@ -896,6 +897,7 @@ where
                 decided: self.outputs[i].is_some(),
             };
             self.actions[i] = self.states[i].step(&ctx, &mailbox, outbox, &mut self.rngs[i]);
+            stepped += 1;
             let mut mailbox = mailbox;
             mailbox.clear();
             self.mailboxes[i] = mailbox;
@@ -908,6 +910,7 @@ where
         }
 
         if let Some(rec) = rec {
+            rec.add(0, tick, Counter::NodeSteps, stepped);
             rec.phase_end(0, tick, Phase::NodeStep);
             rec.phase_begin(0, tick, Phase::AdversaryCut);
         }

@@ -3,11 +3,12 @@
 //! One [`SyncEngine`] instance drives one protocol execution over a fixed
 //! topology.  Rounds are processed in lock-step:
 //!
-//! 1. every non-crashed node consumes the messages addressed to it in the
-//!    previous round and queues its outgoing messages into an engine-owned,
-//!    reused outbox (sequentially, in node order — batch-level rayon
-//!    parallelism lives in the simulation API one level up; every node
-//!    still has its own RNG stream, so the schedule is deterministic);
+//! 1. every node of the round's *active set* consumes the messages
+//!    addressed to it in the previous round and queues its outgoing
+//!    messages into an engine-owned, reused outbox (sequentially, in
+//!    ascending node order — batch-level rayon parallelism lives in the
+//!    simulation API one level up; every node still has its own RNG
+//!    stream, so the schedule is deterministic);
 //! 2. the full-information adversary inspects every state and every queued
 //!    message and may replace the Byzantine nodes' outboxes;
 //! 3. messages are validated against the topology (no edge → dropped),
@@ -15,6 +16,22 @@
 //!
 //! The engine stops when every honest node has decided (or crashed), or when
 //! `max_rounds` is reached.
+//!
+//! ## Active-set rounds
+//!
+//! A round steps only the non-crashed nodes that have mail, whose
+//! [`Protocol::next_wake`] names this round, or that churn just brought
+//! back.  The trait's default wakes a node every round, so a protocol
+//! that does not opt in is stepped exactly as before; one that does (the
+//! flood and spanning-tree baselines) costs nothing while it waits.  Every
+//! other per-round loop — outbox drain, action apply, inbox clearing —
+//! runs over the same list, the crash mask and the honest-active count
+//! behind the stop condition are kept up to date at each writer, so an
+//! idle round costs O(active) rather than O(n).  The skipped steps are
+//! unobservable by the wake contract, and the active set is stepped in
+//! ascending node order, so the round arena, the fault plan's RNG stream
+//! and every report byte are those of stepping every node (the other
+//! engines still do, which makes them differential oracles for this one).
 //!
 //! ## Fault injection
 //!
@@ -45,6 +62,7 @@ use netsim_graph::NodeId;
 use netsim_trace::{Counter, Gauge, Phase, Recorder};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::collections::BTreeMap;
 
 /// Snapshot of the `RunMetrics` counters a [`Recorder`] mirrors; taken at
 /// a phase boundary so per-round deltas can be emitted without touching
@@ -165,8 +183,9 @@ impl<O> RunResult<O> {
 /// * `inboxes` holds the messages consumed this round; `next_inboxes`
 ///   receives this round's deliveries.  The two are swapped at the round
 ///   boundary and the stale side is cleared with its capacity kept.
-/// * `outboxes` are per-node reused [`Outbox`]es (inline below 16
-///   messages, spilled capacity kept) the engine clears before each
+/// * `outbox` is one reused [`Outbox`] (inline below 16 messages,
+///   spilled capacity kept): each node steps into it and it is drained
+///   into the round arenas straight away, so it is empty before every
 ///   `step`.
 /// * `honest_arena` / `byz_default` are the round-scoped envelope arenas:
 ///   outbox messages are *moved* into them (the pre-refactor engine cloned
@@ -175,6 +194,12 @@ impl<O> RunResult<O> {
 /// * `deferred` is a [`DelayRing`] of round buckets (replacing a
 ///   `BTreeMap`): deferral and due-drain are O(1) and bucket capacity is
 ///   reused.
+/// * `active`, `due_next`, `mailed` / `next_mailed` are the active-set
+///   lists (node ids, capacity reused).  A node that asks to wake next
+///   round is pushed onto `due_next`; when that list covers every live
+///   node (every round of a protocol that keeps the default wake) it
+///   simply becomes the next round's active list, with no merge, sort or
+///   map operation.  Only later wakes go into the round-keyed `timers`.
 ///
 /// Reports are byte-identical to the pre-refactor engine for equal spec and
 /// seed: node order, RNG streams and the fault plan's consultation order
@@ -196,8 +221,8 @@ where
     inboxes: Vec<Vec<Envelope<P::Message>>>,
     /// Messages delivered this round, consumed next round.
     next_inboxes: Vec<Vec<Envelope<P::Message>>>,
-    /// Per-node reusable outgoing buffers.
-    outboxes: Vec<Outbox<P::Message>>,
+    /// The outgoing buffer every step writes into (drained after each).
+    outbox: Outbox<P::Message>,
     /// Per-node action of the current round.
     actions: Vec<Action<P::Output>>,
     /// Round arena for honest envelopes (moved out of outboxes, drained by
@@ -205,9 +230,29 @@ where
     honest_arena: Vec<Envelope<P::Message>>,
     /// Round buffer for the Byzantine nodes' protocol-following envelopes.
     byz_default: Vec<Envelope<P::Message>>,
-    /// Scratch crash mask handed to the adversary view.
-    crashed_scratch: Vec<bool>,
+    /// `crashed[i]` mirrors `statuses[i] == Crashed`; every status writer
+    /// keeps it in step, so the adversary view needs no per-round rebuild.
+    crashed: Vec<bool>,
     statuses: Vec<NodeStatus>,
+    /// Honest nodes still `Active` — the stop condition, without a scan.
+    honest_active: usize,
+    /// Nodes not crashed; `due_next` covering this many nodes means the
+    /// next round is dense.
+    live: usize,
+    /// This round's active set: the nodes it steps, ascending.
+    active: Vec<u32>,
+    /// Nodes that asked to wake next round, ascending (pushed in `active`
+    /// order); at a round's start, also the nodes churn just brought back.
+    due_next: Vec<u32>,
+    /// Wakes later than next round, keyed by round.  An entry is live only
+    /// while `timer_of` still names its round (later answers supersede).
+    timers: BTreeMap<u64, Vec<u32>>,
+    /// The round of each node's live timer ([`NO_TIMER`] for none).
+    timer_of: Vec<u64>,
+    /// Nodes whose `inboxes` entry is non-empty (this round's mail).
+    mailed: Vec<u32>,
+    /// Nodes whose `next_inboxes` entry is non-empty.
+    next_mailed: Vec<u32>,
     outputs: Vec<Option<P::Output>>,
     decided_round: Vec<Option<u64>>,
     metrics: RunMetrics,
@@ -256,6 +301,7 @@ where
         let rngs = (0..n)
             .map(|i| ChaCha8Rng::seed_from_u64(splitmix(seed, i as u64)))
             .collect();
+        let honest = byzantine.iter().filter(|&&b| !b).count();
         SyncEngine {
             topology,
             states,
@@ -266,11 +312,20 @@ where
             adversary_rng: ChaCha8Rng::seed_from_u64(splitmix(seed, u64::MAX)),
             inboxes: vec![Vec::new(); n],
             next_inboxes: vec![Vec::new(); n],
-            outboxes: (0..n).map(|_| Outbox::new()).collect(),
+            outbox: Outbox::new(),
             actions: vec![Action::Continue; n],
             honest_arena: Vec::new(),
             byz_default: Vec::new(),
-            crashed_scratch: Vec::with_capacity(n),
+            crashed: vec![false; n],
+            honest_active: honest,
+            live: n,
+            active: Vec::with_capacity(n),
+            // Every node steps in round 0.
+            due_next: (0..n as u32).collect(),
+            timers: BTreeMap::new(),
+            timer_of: vec![NO_TIMER; n],
+            mailed: Vec::new(),
+            next_mailed: Vec::new(),
             statuses: vec![NodeStatus::Active; n],
             outputs: vec![None; n],
             decided_round: vec![None; n],
@@ -335,11 +390,13 @@ where
             self.statuses.len(),
             "crash mask must cover every node"
         );
-        for (status, &is_crashed) in self.statuses.iter_mut().zip(crashed) {
+        for (i, &is_crashed) in crashed.iter().enumerate() {
             if is_crashed {
-                *status = NodeStatus::Crashed;
+                self.mark_crashed(i);
             }
         }
+        let mask = &self.crashed;
+        self.due_next.retain(|&i| !mask[i as usize]);
         self
     }
 
@@ -363,18 +420,69 @@ where
         if self.round >= self.config.max_rounds {
             return true;
         }
-        if self.config.stop_when_all_decided {
-            let all_done = self
-                .statuses
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !self.byzantine[*i])
-                .all(|(_, s)| *s != NodeStatus::Active);
-            if all_done {
-                return true;
-            }
+        self.config.stop_when_all_decided && self.honest_active == 0
+    }
+
+    /// Fail-stop node `i` (a no-op if it is down already), keeping the
+    /// crash mask and the live / honest-active counts in step.
+    fn mark_crashed(&mut self, i: usize) {
+        match self.statuses[i] {
+            NodeStatus::Crashed => return,
+            NodeStatus::Active if !self.byzantine[i] => self.honest_active -= 1,
+            _ => {}
         }
-        false
+        self.statuses[i] = NodeStatus::Crashed;
+        self.crashed[i] = true;
+        self.live -= 1;
+    }
+
+    /// Record node `i`'s answer to [`Protocol::next_wake`] after it
+    /// stepped in `round`.
+    fn schedule_wake(&mut self, i: usize, round: u64) {
+        match self.states[i].next_wake(round) {
+            Some(wake) if wake <= round + 1 => {
+                self.timer_of[i] = NO_TIMER;
+                self.due_next.push(i as u32);
+            }
+            Some(wake) => {
+                if self.timer_of[i] != wake {
+                    self.timer_of[i] = wake;
+                    self.timers.entry(wake).or_default().push(i as u32);
+                }
+            }
+            None => self.timer_of[i] = NO_TIMER,
+        }
+    }
+
+    /// Build this round's active set (ascending, crashed nodes excluded)
+    /// from the nodes due now, their mail and churn recoveries.
+    fn collect_active(&mut self, round: u64, churned: bool) {
+        self.active.clear();
+        let timers = match self.timers.first_entry() {
+            Some(entry) if *entry.key() == round => entry.remove(),
+            _ => Vec::new(),
+        };
+        if !churned && self.due_next.len() == self.live {
+            // Dense round: the due list already names every live node, in
+            // order, so every other source is a subset of it.
+            std::mem::swap(&mut self.active, &mut self.due_next);
+            return;
+        }
+        let timer_of = &self.timer_of;
+        let crashed = &self.crashed;
+        self.active.extend(
+            self.due_next
+                .drain(..)
+                .chain(
+                    timers
+                        .into_iter()
+                        .filter(|&i| timer_of[i as usize] == round),
+                )
+                .chain(self.mailed.iter().copied())
+                .filter(|&i| !crashed[i as usize]),
+        );
+        self.active.sort_unstable();
+        self.active.dedup();
     }
 
     /// Execute one round.  Returns `false` when the stop condition has been
@@ -397,16 +505,19 @@ where
 
         // Phase 0: churn transitions requested by the fault plan.  Only
         // honest nodes are touched; a recovered node rejoins with a fresh
-        // protocol state and no memory of its previous incarnation.
+        // protocol state and no memory of its previous incarnation, and
+        // steps this very round.
+        let mut churned = false;
         if let Some(plan) = self.fault_plan.as_mut() {
             for event in plan.begin_round(round) {
                 match event {
                     ChurnEvent::Crash(v) => {
                         let i = v.index();
                         if i < n && !self.byzantine[i] && self.statuses[i] != NodeStatus::Crashed {
-                            self.statuses[i] = NodeStatus::Crashed;
+                            self.mark_crashed(i);
                             self.churned_down[i] = true;
                             self.metrics.record_churn_crash();
+                            churned = true;
                         }
                     }
                     ChurnEvent::Recover(v) => {
@@ -423,23 +534,33 @@ where
                                 self.outputs[i] = None;
                                 self.decided_round[i] = None;
                                 self.statuses[i] = NodeStatus::Active;
+                                self.crashed[i] = false;
+                                self.live += 1;
+                                self.honest_active += 1;
                                 self.churned_down[i] = false;
                                 self.inboxes[i].clear();
+                                self.due_next.push(i as u32);
                                 self.metrics.record_churn_recovery();
+                                churned = true;
                             }
                         }
                     }
                 }
             }
         }
+        self.collect_active(round, churned);
 
         if let Some(r) = rec {
             r.phase_end(shard, round, Phase::Churn);
             r.phase_begin(shard, round, Phase::NodeStep);
         }
 
-        // Phase 1: run every non-crashed node against its inbox, writing
-        // into its engine-owned, reused outbox (cleared, never dropped).
+        // Phase 1: run every active node against its inbox, in ascending
+        // node order, and move what it queued — no clones — into the round
+        // arena (honest senders, in node order) or the Byzantine-default
+        // buffer.  Nodes outside the active set are crashed or idle: by
+        // the wake contract an idle node's step would queue nothing and
+        // change nothing, so it is skipped.
         //
         // This loop is sequential by design.  The workspace's rayon shim
         // intentionally refuses to split borrowed-slice pipelines (per-node
@@ -450,60 +571,34 @@ where
         // up, across the runs of a batch.  Determinism is unaffected either
         // way: each node owns its RNG stream and results land in node
         // order.
-        {
-            let inboxes = &self.inboxes;
-            let topology = self.topology;
-            let statuses = &self.statuses;
-            let outputs = &self.outputs;
-            for (i, ((state, rng), (outbox, action))) in self
-                .states
-                .iter_mut()
-                .zip(self.rngs.iter_mut())
-                .zip(self.outboxes.iter_mut().zip(self.actions.iter_mut()))
-                .enumerate()
-            {
-                outbox.clear();
-                if statuses[i] == NodeStatus::Crashed {
-                    *action = Action::Continue;
-                    continue;
-                }
-                let id = NodeId::from_index(i);
-                let ctx = NodeContext {
-                    id,
-                    round,
-                    neighbors: topology.neighbors(id),
-                    decided: outputs[i].is_some(),
-                };
-                *action = state.step(&ctx, &inboxes[i], outbox, rng);
-            }
+        self.honest_arena.clear();
+        self.byz_default.clear();
+        for &node in &self.active {
+            let i = node as usize;
+            let id = NodeId::from_index(i);
+            let ctx = NodeContext {
+                id,
+                round,
+                neighbors: self.topology.neighbors(id),
+                decided: self.outputs[i].is_some(),
+            };
+            self.actions[i] =
+                self.states[i].step(&ctx, &self.inboxes[i], &mut self.outbox, &mut self.rngs[i]);
+            let target = if self.byzantine[i] {
+                &mut self.byz_default
+            } else {
+                &mut self.honest_arena
+            };
+            self.outbox.drain_envelopes(id, |env| target.push(env));
         }
 
         if let Some(r) = rec {
+            r.add(shard, round, Counter::NodeSteps, self.active.len() as u64);
             r.phase_end(shard, round, Phase::NodeStep);
             r.phase_begin(shard, round, Phase::AdversaryCut);
         }
 
-        // Phase 2: move every queued message — no clones — into the round
-        // arena (honest senders, in node order) or the Byzantine-default
-        // buffer, and let the adversary intervene.
-        self.honest_arena.clear();
-        self.byz_default.clear();
-        {
-            let honest_arena = &mut self.honest_arena;
-            let byz_default = &mut self.byz_default;
-            let byzantine = &self.byzantine;
-            for (i, outbox) in self.outboxes.iter_mut().enumerate() {
-                let target: &mut Vec<Envelope<P::Message>> = if byzantine[i] {
-                    byz_default
-                } else {
-                    honest_arena
-                };
-                outbox.drain_envelopes(NodeId::from_index(i), |env| target.push(env));
-            }
-        }
-        self.crashed_scratch.clear();
-        self.crashed_scratch
-            .extend(self.statuses.iter().map(|s| *s == NodeStatus::Crashed));
+        // Phase 2: the adversary inspects the round and intervenes.
         // `FollowProtocol` messages carry engine-stamped sender ids;
         // `Replace` messages are adversary-authored and their claimed sender
         // must be validated against the Byzantine mask below.
@@ -511,7 +606,7 @@ where
             let view = AdversaryView {
                 round,
                 byzantine: &self.byzantine,
-                crashed: &self.crashed_scratch,
+                crashed: &self.crashed,
                 states: &self.states,
                 honest_messages: &self.honest_arena,
                 byzantine_default_messages: &self.byz_default,
@@ -520,25 +615,32 @@ where
         };
 
         // Phase 3: apply actions (honest nodes only; Byzantine nodes are
-        // puppets of the adversary and their "decisions" are meaningless).
-        for i in 0..n {
-            if self.byzantine[i] || self.statuses[i] == NodeStatus::Crashed {
-                continue;
-            }
-            match std::mem::replace(&mut self.actions[i], Action::Continue) {
-                Action::Continue => {}
-                Action::Decide(output) => {
-                    if self.outputs[i].is_none() {
-                        self.outputs[i] = Some(output);
-                        self.decided_round[i] = Some(round);
-                        self.statuses[i] = NodeStatus::Decided;
+        // puppets of the adversary and their "decisions" are meaningless),
+        // then ask every node still up when it next needs to step.
+        let active = std::mem::take(&mut self.active);
+        for &node in &active {
+            let i = node as usize;
+            let action = std::mem::replace(&mut self.actions[i], Action::Continue);
+            if !self.byzantine[i] {
+                match action {
+                    Action::Continue => {}
+                    Action::Decide(output) => {
+                        if self.outputs[i].is_none() {
+                            self.outputs[i] = Some(output);
+                            self.decided_round[i] = Some(round);
+                            self.statuses[i] = NodeStatus::Decided;
+                            self.honest_active -= 1;
+                        }
+                    }
+                    Action::Crash => {
+                        self.mark_crashed(i);
+                        continue;
                     }
                 }
-                Action::Crash => {
-                    self.statuses[i] = NodeStatus::Crashed;
-                }
             }
+            self.schedule_wake(i, round);
         }
+        self.active = active;
 
         if let Some(r) = rec {
             r.gauge(
@@ -591,14 +693,16 @@ where
         // counted as delivered.
         {
             let metrics = &mut self.metrics;
-            let statuses = &self.statuses;
+            let crashed = &self.crashed;
             let next_inboxes = &mut self.next_inboxes;
+            let next_mailed = &mut self.next_mailed;
             self.deferred.drain_due(round, |env| {
-                if statuses[env.to.index()] == NodeStatus::Crashed {
+                let to = env.to.index();
+                if crashed[to] {
                     metrics.record_fault_expired(1);
                 } else {
                     metrics.record_delivery(env.payload.message_size());
-                    next_inboxes[env.to.index()].push(env);
+                    post(next_inboxes, next_mailed, to, env);
                 }
             });
         }
@@ -623,11 +727,15 @@ where
         }
 
         // Round boundary: this round's deliveries become next round's
-        // inboxes; the consumed side is cleared with its capacity kept.
+        // inboxes; the consumed side is cleared with its capacity kept —
+        // only the inboxes that held mail, including those of nodes churn
+        // crashed before they could read it.
         std::mem::swap(&mut self.inboxes, &mut self.next_inboxes);
-        for inbox in &mut self.next_inboxes {
-            inbox.clear();
+        std::mem::swap(&mut self.mailed, &mut self.next_mailed);
+        for &node in &self.next_mailed {
+            self.next_inboxes[node as usize].clear();
         }
+        self.next_mailed.clear();
 
         self.round += 1;
         !self.finished()
@@ -662,7 +770,8 @@ where
             // cross-engine `Delay(0)` regression test).
             EnvelopeFate::Deliver | EnvelopeFate::Delay(0) => {
                 self.metrics.record_delivery(env.payload.message_size());
-                self.next_inboxes[env.to.index()].push(env);
+                let to = env.to.index();
+                post(&mut self.next_inboxes, &mut self.next_mailed, to, env);
             }
             EnvelopeFate::Drop => self.metrics.record_fault_loss(),
             EnvelopeFate::Delay(delay) => {
@@ -691,26 +800,28 @@ where
                 r.add(0, self.round, Counter::MessagesExpired, in_flight);
             }
         }
-        let completed = self
-            .statuses
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !self.byzantine[*i])
-            .all(|(_, s)| *s != NodeStatus::Active);
-        let crashed = self
-            .statuses
-            .iter()
-            .map(|s| *s == NodeStatus::Crashed)
-            .collect();
         RunResult {
+            completed: self.honest_active == 0,
             outputs: self.outputs,
             decided_round: self.decided_round,
-            crashed,
+            crashed: self.crashed,
             statuses: self.statuses,
             metrics: self.metrics,
-            completed,
         }
     }
+}
+
+/// [`SyncEngine::timer_of`] value of a node with no timer pending.
+const NO_TIMER: u64 = u64::MAX;
+
+/// Push a delivery into `to`'s inbox, listing `to` in `mailed` when this
+/// is its first letter of the round (one predictable branch per envelope).
+fn post<M>(inboxes: &mut [Vec<Envelope<M>>], mailed: &mut Vec<u32>, to: usize, env: Envelope<M>) {
+    let inbox = &mut inboxes[to];
+    if inbox.is_empty() {
+        mailed.push(to as u32);
+    }
+    inbox.push(env);
 }
 
 /// Shared envelope validation, used verbatim by both engines so the rules
@@ -1351,6 +1462,147 @@ mod tests {
             (c.outputs, c.metrics),
             "a different seed must change the faulty run"
         );
+    }
+
+    /// Logs every step it takes as `(round, inbox size)` — an
+    /// instrumentation-only state change the wake contract otherwise
+    /// forbids, so the tests can see exactly which rounds stepped it.
+    /// Sends to its neighbours in the `send_at` rounds, decides once
+    /// `decide_at` is reached, and wakes for nothing else.
+    #[derive(Clone, Default)]
+    struct Sleeper {
+        send_at: Vec<u64>,
+        decide_at: Option<u64>,
+        log: Vec<(u64, usize)>,
+    }
+
+    impl Protocol for Sleeper {
+        type Message = Val;
+        type Output = ();
+        fn step(
+            &mut self,
+            ctx: &NodeContext<'_>,
+            inbox: &[Envelope<Val>],
+            outbox: &mut Outbox<Val>,
+            _rng: &mut ChaCha8Rng,
+        ) -> Action<()> {
+            self.log.push((ctx.round, inbox.len()));
+            if self.send_at.contains(&ctx.round) {
+                outbox.broadcast(ctx.neighbors.iter(), Val(ctx.round));
+            }
+            match self.decide_at {
+                Some(at) if ctx.round >= at => Action::Decide(()),
+                _ => Action::Continue,
+            }
+        }
+
+        fn next_wake(&self, round: u64) -> Option<u64> {
+            self.send_at
+                .iter()
+                .chain(&self.decide_at)
+                .copied()
+                .filter(|&r| r > round)
+                .min()
+        }
+    }
+
+    fn sleepers(n: usize) -> Vec<Sleeper> {
+        vec![Sleeper::default(); n]
+    }
+
+    fn run_for(rounds: u64) -> EngineConfig {
+        EngineConfig {
+            max_rounds: rounds,
+            stop_when_all_decided: false,
+        }
+    }
+
+    /// Crash node 1 at round `crash`, recover it at round `recover`.
+    struct BounceNode1 {
+        crash: u64,
+        recover: u64,
+    }
+
+    impl FaultPlan for BounceNode1 {
+        fn begin_round(&mut self, round: u64) -> Vec<ChurnEvent> {
+            if round == self.crash {
+                vec![ChurnEvent::Crash(NodeId(1))]
+            } else if round == self.recover {
+                vec![ChurnEvent::Recover(NodeId(1))]
+            } else {
+                Vec::new()
+            }
+        }
+    }
+
+    #[test]
+    fn a_node_with_a_far_timer_steps_exactly_at_that_round() {
+        let n = 3;
+        let g = line_graph(n);
+        let mut states = sleepers(n);
+        states[1].decide_at = Some(7);
+        let counters = netsim_trace::CounterSet::new();
+        let mut engine = SyncEngine::new(&g, states, vec![false; n], NullAdversary, run_for(12), 1)
+            .with_recorder(&counters);
+        while engine.step_round() {}
+        assert_eq!(engine.states()[1].log, vec![(0, 0), (7, 0)]);
+        assert_eq!(engine.states()[0].log, vec![(0, 0)], "no timer, no mail");
+        assert_eq!(
+            counters.snapshot().total(Counter::NodeSteps),
+            4,
+            "three steps in round 0, one at the timer"
+        );
+        let result = engine.into_result();
+        assert_eq!(result.decided_round[1], Some(7));
+        assert_eq!(result.metrics.rounds, 12);
+    }
+
+    #[test]
+    fn a_churn_recovered_node_steps_in_the_round_it_rejoins() {
+        let n = 3;
+        let g = line_graph(n);
+        let mut engine = SyncEngine::new(
+            &g,
+            sleepers(n),
+            vec![false; n],
+            NullAdversary,
+            run_for(8),
+            2,
+        )
+        .with_fault_plan(Box::new(BounceNode1 {
+            crash: 2,
+            recover: 5,
+        }));
+        while engine.step_round() {}
+        // The recovery reset the state, so the log starts at the rejoin.
+        assert_eq!(engine.states()[1].log, vec![(5, 0)]);
+        let result = engine.into_result();
+        assert!(!result.crashed[1]);
+        assert_eq!(result.metrics.churn_crashes, 1);
+        assert_eq!(result.metrics.churn_recoveries, 1);
+    }
+
+    #[test]
+    fn a_churn_crashed_node_with_mail_pending_has_its_inbox_cleared() {
+        let n = 3;
+        let g = line_graph(n);
+        let mut states = sleepers(n);
+        // Node 0's round-1 letter reaches node 1's inbox for round 2,
+        // where churn crashes node 1 before it can read it.
+        states[0].send_at = vec![1];
+        let mut engine = SyncEngine::new(&g, states, vec![false; n], NullAdversary, run_for(8), 3)
+            .with_fault_plan(Box::new(BounceNode1 {
+                crash: 2,
+                recover: 3,
+            }));
+        for _ in 0..3 {
+            engine.step_round();
+        }
+        assert!(engine.inboxes[1].is_empty() && engine.next_inboxes[1].is_empty());
+        while engine.step_round() {}
+        // The stale letter never reaches the rejoined node.
+        assert_eq!(engine.states()[1].log, vec![(3, 0)]);
+        assert_eq!(engine.into_result().metrics.messages_delivered, 1);
     }
 
     #[test]

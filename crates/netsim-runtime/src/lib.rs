@@ -43,7 +43,12 @@
 //! [`adversary::Adversary::idle_passive`] and no fault plan is installed,
 //! virtual time jumps straight to the next scheduled event, making
 //! idle-heavy heterogeneous-clock runs cost O(events) instead of
-//! O(ticks) — with byte-identical results.
+//! O(ticks) — with byte-identical results.  The [`engine::SyncEngine`]
+//! has the per-node counterpart, *active-set rounds*: a protocol that
+//! only reacts to its inbox says so through
+//! [`node::Protocol::next_wake`], and each round steps only the nodes
+//! with mail, a due wake-up or a churn recovery, so idle rounds cost
+//! O(active) instead of O(n).
 //!
 //! [`run_with_engine`] is the one dispatch point over all five: it takes
 //! the engine kind, the node states, the adversary, and the optional

@@ -6,6 +6,9 @@
 //! returns an [`Action`]: keep going, decide on an output (while continuing
 //! to forward messages, as the counting protocol requires), or crash
 //! (Algorithm 2's voluntary shutdown on conflicting neighbourhood reports).
+//! A protocol that only reacts to its inbox may also name, through
+//! [`Protocol::next_wake`], the rounds at which it has nothing to do, so
+//! the synchronous engine can skip its idle steps.
 
 use crate::message::Envelope;
 use netsim_graph::NodeId;
@@ -142,6 +145,31 @@ pub trait Protocol: Send + Sized {
         outbox: &mut Outbox<Self::Message>,
         rng: &mut ChaCha8Rng,
     ) -> Action<Self::Output>;
+
+    /// The next round at which a step with an *empty* inbox could do
+    /// anything, asked right after this node stepped in `round`; `None`
+    /// means the node only needs to step again when a message arrives.
+    ///
+    /// Opting in promises that every empty-inbox `step` the answer lets
+    /// an engine elide — rounds strictly between `round` and the named
+    /// round, or every later round for `None` — would have (a) queued
+    /// nothing, (b) returned [`Action::Continue`] or a repeat of an
+    /// earlier [`Action::Decide`], (c) drawn nothing from `rng`, and
+    /// (d) left the state unchanged.  Under that promise the
+    /// [`SyncEngine`](crate::engine::SyncEngine) steps only the nodes
+    /// that have mail, are due, or just rejoined after churn (active-set
+    /// rounds) without changing any observable result: the skipped calls
+    /// would have produced nothing, and every node keeps its own RNG
+    /// stream.  A node with mail is always stepped, whatever it answered.
+    ///
+    /// Stepping more often than asked is always permitted, so engines
+    /// that step every node every round stay correct.  The default,
+    /// `Some(round + 1)`, asks for exactly that and suits any protocol
+    /// that acts on its own clock (e.g. forwarding tokens every round).
+    /// Answers at or before `round + 1` mean "next round".
+    fn next_wake(&self, round: u64) -> Option<u64> {
+        Some(round + 1)
+    }
 }
 
 #[cfg(test)]

@@ -594,6 +594,7 @@ where
                 if let Some(rec) = rec {
                     rec.phase_begin(task.shard, round, Phase::NodeStep);
                 }
+                let mut stepped = 0u64;
                 for local in 0..task.states.len() {
                     let i = task.start + local;
                     let outbox = &mut task.outboxes[local];
@@ -611,6 +612,7 @@ where
                     };
                     task.actions[local] =
                         task.states[local].step(&ctx, &inboxes[i], outbox, &mut task.rngs[local]);
+                    stepped += 1;
                 }
                 // Drain the shard's outboxes into its own arenas, in node
                 // order — no clones, no sharing.
@@ -622,6 +624,7 @@ where
                         .drain_envelopes(NodeId::from_index(i), |env| target.push(env));
                 }
                 if let Some(rec) = rec {
+                    rec.add(task.shard, round, Counter::NodeSteps, stepped);
                     rec.phase_end(task.shard, round, Phase::NodeStep);
                 }
             });

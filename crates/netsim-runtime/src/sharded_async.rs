@@ -470,6 +470,7 @@ where
                 }
                 task.queue
                     .drain_class_into(tick, EventClass::NodeStep, task.scratch);
+                let mut stepped = 0u64;
                 for &(node, _) in task.scratch.iter() {
                     let i = node as usize;
                     let local = i - task.start;
@@ -496,6 +497,7 @@ where
                     };
                     task.actions[local] =
                         task.states[local].step(&ctx, &mailbox, outbox, &mut task.rngs[local]);
+                    stepped += 1;
                     let mut mailbox = mailbox;
                     mailbox.clear();
                     task.mailboxes[local] = mailbox;
@@ -504,6 +506,7 @@ where
                     outbox.drain_envelopes(id, |env| target.push(env));
                 }
                 if let Some(rec) = rec {
+                    rec.add(task.shard, tick, Counter::NodeSteps, stepped);
                     rec.phase_end(task.shard, tick, Phase::NodeStep);
                 }
             });

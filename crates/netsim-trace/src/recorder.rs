@@ -100,10 +100,15 @@ pub enum Counter {
     /// how many of those were never visited, i.e. the work the
     /// next-event-time skip saved.
     TicksSkipped,
+    /// Protocol `step` calls, added once per round (or tick) per shard by
+    /// the node-step phase.  Trace-only: no `RunMetrics` field mirrors
+    /// it, so reports are unchanged.  Exact per spec + seed, so it
+    /// measures the work active-set rounds save without wall time.
+    NodeSteps,
 }
 
 /// Every counter, in report order.
-pub const COUNTERS: [Counter; 10] = [
+pub const COUNTERS: [Counter; 11] = [
     Counter::MessagesDelivered,
     Counter::MessagesDropped,
     Counter::MessagesLost,
@@ -114,6 +119,7 @@ pub const COUNTERS: [Counter; 10] = [
     Counter::Rounds,
     Counter::CrossShardRouted,
     Counter::TicksSkipped,
+    Counter::NodeSteps,
 ];
 
 impl Counter {
@@ -130,6 +136,7 @@ impl Counter {
             Counter::Rounds => "rounds",
             Counter::CrossShardRouted => "cross_shard_routed",
             Counter::TicksSkipped => "ticks_skipped",
+            Counter::NodeSteps => "node_steps",
         }
     }
 
