@@ -59,10 +59,12 @@
 //! `--sizes 1024,4096`, `--repeats N`, `--seed N`, `--out FILE` (default
 //! `BENCH_roundloop.json`; `-` = stdout only), `--baseline PREV.json`
 //! (join a previous report to compute per-cell speedups), `--shards S`
-//! (run every cell on the sharded engine with `S` shards — byte-identical
-//! results, different core mapping), `--engine sync|async|sharded-S`
-//! (general engine selection; `async` is the event-driven engine with
-//! uniform clocks — byte-identical results, event-queue execution),
+//! (shorthand for `--engine sharded-S`: every cell on the sharded
+//! event-driven engine with `S` shards and uniform clocks, at most
+//! `MAX_SHARDS` (256) — byte-identical results, different core mapping),
+//! `--engine sync|async|sharded-S|sharded-async-S|dist-S` (general engine
+//! selection; `async` is the event-driven engine with uniform clocks —
+//! byte-identical results, event-queue execution),
 //! `--profile` (attach a phase profiler to one *extra* run per cell and
 //! embed the phase table in each entry's `phases` block — the timed
 //! repeats that feed the throughput columns never carry a recorder).
@@ -104,7 +106,7 @@ fn usage() -> ExitCode {
          \x20      byzcount-cli template [run|batch|faulty|async]\n\
          \x20      byzcount-cli bench [--smoke] [--sizes 1024,4096] \
          [--repeats 3] [--seed N] [--out FILE|-] [--baseline PREV.json] \
-         [--shards S] [--engine sync|async|sharded-S|sharded-async-S|dist-S] [--profile]\n\
+         [--shards S | --engine sync|async|sharded-S|sharded-async-S|dist-S] [--profile]\n\
          \x20      byzcount-cli trace-check <trace.ndjson>\n\
          \x20      byzcount-cli serve <unix:PATH|HOST:PORT> [--store DIR] \
          [--workers N] [--snapshot-every K]\n\

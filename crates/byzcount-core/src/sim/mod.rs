@@ -47,7 +47,8 @@ pub use report::{
 };
 pub use spec::{
     cell_seed, AdversarySpec, AttackSpec, BatchSpec, BuiltTopology, EngineSpec, ParamsSpec,
-    PlacementSpec, RunSpec, SeedPolicy, TimingSpec, TopologySpec, WorkloadSpec, SPEC_VERSION,
+    PlacementSpec, RunSpec, SeedPolicy, TimingSpec, TopologySpec, WorkloadSpec, MAX_SHARDS,
+    SPEC_VERSION,
 };
 
 /// The runtime-side engine selection an [`EngineSpec`] resolves to, and

@@ -592,12 +592,19 @@ impl SeedPolicy {
 // Engine selection
 // ---------------------------------------------------------------------------
 
+/// Largest shard (or shard-worker) count an [`EngineSpec`] may ask for.
+///
+/// The in-process distributed engine runs one OS thread per shard, and a
+/// spec may arrive from a remote client, so the count is capped before any
+/// engine is built rather than only clamped to the node count at run time.
+pub const MAX_SHARDS: u32 = 256;
+
 /// Which engine implementation executes the run.
 ///
-/// `Sync` and `Sharded` are execution policy, not semantics: the sharded
-/// engine is contractually byte-identical to the classic engine for equal
-/// spec and seed (for every shard count), so those knobs only change how
-/// the round loop maps onto cores.  `Async` with
+/// Shard counts are execution policy, not semantics: every sharded
+/// variant is contractually byte-identical to the classic engine for
+/// equal spec and seed (for every shard count), so those knobs only
+/// change how the round loop maps onto cores.  `Async` with
 /// [`ClockPlan::Uniform`] keeps the same byte-identity contract; a
 /// heterogeneous [`ClockPlan`] is the one engine knob that changes run
 /// semantics by design (per-node clock speeds), deterministically per
@@ -608,11 +615,14 @@ pub enum EngineSpec {
     /// The classic single-owner synchronous engine (the default).
     #[default]
     Sync,
-    /// The sharded engine: node state, outboxes, inboxes, deferred rings
-    /// and delivery metrics partitioned into `shards` contiguous node-id
-    /// ranges (clamped to the node count at run time).
+    /// The sharded synchronous engine: node state, mailboxes, deferred
+    /// deliveries and delivery metrics partitioned into `shards`
+    /// contiguous node-id ranges (clamped to the node count at run time).
+    /// It runs on the sharded event-driven engine with uniform clocks,
+    /// i.e. it is shorthand for `ShardedAsync { shards, clocks: Uniform }`
+    /// that keeps its own name in specs and reports.
     Sharded {
-        /// Number of shards (≥ 1).
+        /// Number of shards (1..=[`MAX_SHARDS`]).
         shards: u32,
     },
     /// The event-driven engine: per-node virtual clocks over a
@@ -627,7 +637,7 @@ pub enum EngineSpec {
     /// count is execution policy (byte-identical results for every
     /// count); the clock plan is the same semantic knob as `Async`'s.
     ShardedAsync {
-        /// Number of shards (≥ 1).
+        /// Number of shards (1..=[`MAX_SHARDS`]).
         shards: u32,
         /// How node clocks map onto virtual time.
         clocks: ClockPlan,
@@ -639,7 +649,7 @@ pub enum EngineSpec {
     /// results for every count), but the protocol's message type must
     /// have a canonical wire encoding.
     Distributed {
-        /// Number of shard workers (≥ 1).
+        /// Number of shard workers (1..=[`MAX_SHARDS`]).
         shards: u32,
     },
 }
@@ -647,7 +657,22 @@ pub enum EngineSpec {
 impl EngineSpec {
     /// Short stable name (used in tables and logs).
     pub fn name(&self) -> String {
-        self.kind().describe()
+        match *self {
+            EngineSpec::Sync => "sync".into(),
+            EngineSpec::Sharded { shards } => format!("sharded-{shards}"),
+            EngineSpec::Async {
+                clocks: ClockPlan::Uniform,
+            } => "async".into(),
+            EngineSpec::Async { clocks } => format!("async-{}", clocks.describe()),
+            EngineSpec::ShardedAsync {
+                shards,
+                clocks: ClockPlan::Uniform,
+            } => format!("sharded-async-{shards}"),
+            EngineSpec::ShardedAsync { shards, clocks } => {
+                format!("sharded-async-{shards}-{}", clocks.describe())
+            }
+            EngineSpec::Distributed { shards } => format!("dist-{shards}"),
+        }
     }
 
     /// The event-driven engine with uniform clocks (the `--engine async`
@@ -658,12 +683,14 @@ impl EngineSpec {
         }
     }
 
-    /// The runtime engine selection this spec resolves to.
+    /// The runtime engine selection this spec resolves to.  `Sharded`
+    /// resolves to the sharded event-driven engine on uniform clocks.
     pub fn kind(&self) -> EngineKind {
         match *self {
             EngineSpec::Sync => EngineKind::Sync,
-            EngineSpec::Sharded { shards } => EngineKind::Sharded {
+            EngineSpec::Sharded { shards } => EngineKind::ShardedAsync {
                 shards: shards as usize,
+                clocks: ClockPlan::Uniform,
             },
             EngineSpec::Async { clocks } => EngineKind::Async { clocks },
             EngineSpec::ShardedAsync { shards, clocks } => EngineKind::ShardedAsync {
@@ -676,20 +703,27 @@ impl EngineSpec {
         }
     }
 
-    /// Check the engine selection is well-formed.
+    /// Check the engine selection is well-formed: a shard count in
+    /// `1..=`[`MAX_SHARDS`] and a valid clock plan.
     pub fn validate(&self) -> Result<(), String> {
-        match self {
-            EngineSpec::Sync => Ok(()),
-            EngineSpec::Sharded { shards: 0 }
-            | EngineSpec::ShardedAsync { shards: 0, .. }
-            | EngineSpec::Distributed { shards: 0 } => {
-                Err("sharded engine needs at least one shard".into())
+        let (family, shards, clocks) = match *self {
+            EngineSpec::Sync => return Ok(()),
+            EngineSpec::Async { clocks } => return clocks.validate(),
+            EngineSpec::Sharded { shards } => ("sharded engine", shards, ClockPlan::Uniform),
+            EngineSpec::ShardedAsync { shards, clocks } => ("sharded-async engine", shards, clocks),
+            EngineSpec::Distributed { shards } => {
+                ("distributed engine", shards, ClockPlan::Uniform)
             }
-            EngineSpec::Sharded { .. } | EngineSpec::Distributed { .. } => Ok(()),
-            EngineSpec::Async { clocks } | EngineSpec::ShardedAsync { clocks, .. } => {
-                clocks.validate()
-            }
+        };
+        if shards == 0 {
+            return Err(format!("{family} needs at least one shard"));
         }
+        if shards > MAX_SHARDS {
+            return Err(format!(
+                "{family} asks for {shards} shards; at most {MAX_SHARDS} are supported"
+            ));
+        }
+        clocks.validate()
     }
 }
 
@@ -1109,14 +1143,80 @@ mod tests {
         assert_eq!(back.to_json(), spec.to_json());
         spec.engine = EngineSpec::Sharded { shards: 0 };
         assert!(matches!(spec.validate(), Err(SimError::Spec(_))));
-        // Kind resolution and naming.
-        assert_eq!(EngineSpec::Sync.name(), "sync");
-        assert_eq!(EngineSpec::Sharded { shards: 8 }.name(), "sharded-8");
+        // Kind resolution: `Sharded` runs on the sharded event-driven
+        // engine with uniform clocks.
         assert_eq!(
             EngineSpec::Sharded { shards: 8 }.kind(),
-            netsim_runtime::EngineKind::Sharded { shards: 8 }
+            netsim_runtime::EngineKind::ShardedAsync {
+                shards: 8,
+                clocks: ClockPlan::Uniform
+            }
         );
         assert_eq!(EngineSpec::default(), EngineSpec::Sync);
+    }
+
+    #[test]
+    fn engine_names_are_stable_for_every_spec_family() {
+        let strat = ClockPlan::Stratified {
+            every: 2,
+            period: 3,
+        };
+        let jitter = ClockPlan::Jittered { max_period: 5 };
+        for (engine, name) in [
+            (EngineSpec::Sync, "sync"),
+            (EngineSpec::Sharded { shards: 3 }, "sharded-3"),
+            (EngineSpec::asynchronous(), "async"),
+            (EngineSpec::Async { clocks: strat }, "async-strat-2x3"),
+            (EngineSpec::Async { clocks: jitter }, "async-jitter-5"),
+            (
+                EngineSpec::ShardedAsync {
+                    shards: 4,
+                    clocks: ClockPlan::Uniform,
+                },
+                "sharded-async-4",
+            ),
+            (
+                EngineSpec::ShardedAsync {
+                    shards: 2,
+                    clocks: jitter,
+                },
+                "sharded-async-2-jitter-5",
+            ),
+            (EngineSpec::Distributed { shards: 4 }, "dist-4"),
+        ] {
+            assert_eq!(engine.name(), name, "{engine:?}");
+        }
+    }
+
+    #[test]
+    fn shard_counts_are_capped_for_every_sharded_family() {
+        let family = |shards: u32| {
+            [
+                EngineSpec::Sharded { shards },
+                EngineSpec::ShardedAsync {
+                    shards,
+                    clocks: ClockPlan::Uniform,
+                },
+                EngineSpec::Distributed { shards },
+            ]
+        };
+        for engine in family(MAX_SHARDS) {
+            assert_eq!(engine.validate(), Ok(()), "{engine:?}");
+        }
+        for shards in [MAX_SHARDS + 1, u32::MAX] {
+            for engine in family(shards) {
+                let err = engine.validate().expect_err("oversized shard count");
+                assert!(err.contains(&MAX_SHARDS.to_string()), "{engine:?}: {err}");
+            }
+        }
+        // The zero-shard message names the engine that was asked for.
+        let zero: Vec<String> = family(0)
+            .iter()
+            .map(|e| e.validate().expect_err("zero shards"))
+            .collect();
+        assert!(zero[0].starts_with("sharded engine"), "{}", zero[0]);
+        assert!(zero[1].starts_with("sharded-async engine"), "{}", zero[1]);
+        assert!(zero[2].starts_with("distributed engine"), "{}", zero[2]);
     }
 
     #[test]

@@ -1192,89 +1192,9 @@ mod tests {
     use super::*;
     use crate::adversary::NullAdversary;
     use crate::engine::SyncEngine;
-    use crate::message::SizedMessage;
+    use crate::testkit::{assert_results_equal, flood_states, line_graph, MaxFlood, Shouter};
     use netsim_faults::FaultSpec;
     use netsim_graph::Csr;
-    use rand::Rng;
-
-    #[derive(Clone, Debug, PartialEq)]
-    struct Val(u64);
-    impl MessageSize for Val {
-        fn message_size(&self) -> SizedMessage {
-            SizedMessage::new(0, 64)
-        }
-    }
-
-    /// Max-flooding (the engine test-suite workhorse).
-    #[derive(Clone)]
-    struct MaxFlood {
-        value: u64,
-        best: u64,
-        ttl: u64,
-        started: bool,
-    }
-
-    impl Protocol for MaxFlood {
-        type Message = Val;
-        type Output = u64;
-        fn step(
-            &mut self,
-            ctx: &NodeContext<'_>,
-            inbox: &[Envelope<Val>],
-            outbox: &mut Outbox<Val>,
-            rng: &mut ChaCha8Rng,
-        ) -> Action<u64> {
-            if !self.started {
-                self.started = true;
-                if self.value == 0 {
-                    self.value = rng.gen::<u64>() | 1;
-                }
-                self.best = self.value;
-                outbox.broadcast(ctx.neighbors.iter(), Val(self.best));
-                return Action::Continue;
-            }
-            let mut improved = false;
-            for env in inbox {
-                if env.payload.0 > self.best {
-                    self.best = env.payload.0;
-                    improved = true;
-                }
-            }
-            if improved {
-                outbox.broadcast(ctx.neighbors.iter(), Val(self.best));
-            }
-            if ctx.round >= self.ttl {
-                Action::Decide(self.best)
-            } else {
-                Action::Continue
-            }
-        }
-    }
-
-    fn line_graph(n: usize) -> Csr {
-        let edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
-        Csr::from_undirected_edges(n, &edges).unwrap()
-    }
-
-    fn flood_states(n: usize, ttl: u64) -> Vec<MaxFlood> {
-        (0..n)
-            .map(|_| MaxFlood {
-                value: 0,
-                best: 0,
-                ttl,
-                started: false,
-            })
-            .collect()
-    }
-
-    fn assert_results_equal(a: &RunResult<u64>, b: &RunResult<u64>, label: &str) {
-        assert_eq!(a.outputs, b.outputs, "{label}: outputs diverged");
-        assert_eq!(a.decided_round, b.decided_round, "{label}: decided_round");
-        assert_eq!(a.crashed, b.crashed, "{label}: crash masks");
-        assert_eq!(a.statuses, b.statuses, "{label}: statuses");
-        assert_eq!(a.metrics, b.metrics, "{label}: metrics");
-        assert_eq!(a.completed, b.completed, "{label}: completed");
-    }
 
     // -- CalendarQueue ------------------------------------------------------
 
@@ -1516,34 +1436,6 @@ mod tests {
             reference.metrics.messages_lost > 0 && reference.metrics.messages_delayed > 0,
             "the fault stack must actually have fired for this test to mean anything"
         );
-    }
-
-    /// An adversary that makes Byzantine nodes shout a huge value at node
-    /// 0 plus an illegal long-range message (mirrors the engine suites).
-    struct Shouter;
-    impl Adversary<MaxFlood> for Shouter {
-        fn act(
-            &mut self,
-            view: &AdversaryView<'_, MaxFlood>,
-            _rng: &mut ChaCha8Rng,
-        ) -> AdversaryDecision<Val> {
-            let mut msgs = Vec::new();
-            for (i, &b) in view.byzantine.iter().enumerate() {
-                if b {
-                    msgs.push(Envelope::new(
-                        NodeId::from_index(i),
-                        NodeId(0),
-                        Val(u64::MAX),
-                    ));
-                    msgs.push(Envelope::new(
-                        NodeId::from_index(i),
-                        NodeId(5),
-                        Val(u64::MAX),
-                    ));
-                }
-            }
-            AdversaryDecision::Replace(msgs)
-        }
     }
 
     #[test]

@@ -2,12 +2,13 @@
 //! protocol.
 //!
 //! [`DistributedSyncEngine`] executes the exact semantics of
-//! [`ShardedSyncEngine`](crate::ShardedSyncEngine) — and therefore of
-//! [`SyncEngine`](crate::SyncEngine) — but the shards are **workers**: each
-//! owns a contiguous node-id range *privately* (its protocol states, RNG
-//! streams, inbox double-buffers, deferred-delivery ring and delivery-side
-//! metrics never leave it), and talks to a central **coordinator**
-//! exclusively through `netsim-wire`'s versioned, checksummed binary frames.
+//! [`SyncEngine`](crate::SyncEngine) over the same shard layout as the
+//! [`ShardedAsyncEngine`](crate::ShardedAsyncEngine), but the shards are
+//! **workers**: each owns a contiguous node-id range *privately* (its
+//! protocol states, RNG streams, inbox double-buffers, deferred-delivery
+//! ring and delivery-side metrics never leave it), and talks to a central
+//! **coordinator** exclusively through `netsim-wire`'s versioned,
+//! checksummed binary frames.
 //!
 //! Workers run over one of two transports, chosen per run and invisible to
 //! the protocol (the transport is an execution knob, never a spec field):
@@ -76,10 +77,11 @@
 //! ## Determinism contract
 //!
 //! For equal `(topology, protocol, adversary, seed, fault plan)`, a
-//! distributed run is **byte-identical** to `ShardedSyncEngine` and
-//! `SyncEngine` for every shard count *and every transport* — the
-//! differential suite (`tests/distributed_parity.rs`) locks this down over
-//! the golden fixtures.  One documented caveat: the coordinator shows the
+//! distributed run is **byte-identical** to `SyncEngine` (and to
+//! `ShardedAsyncEngine` on uniform clocks) for every shard count *and
+//! every transport* — the differential suite
+//! (`tests/distributed_parity.rs`) locks this down over the golden
+//! fixtures.  One documented caveat: the coordinator shows the
 //! adversary an empty `states` slice (worker-owned protocol states are not
 //! shipped).  No adversary in this workspace reads `AdversaryView::states`;
 //! one that did would need the states on the wire, which plain `Protocol`
@@ -98,7 +100,7 @@ use crate::message::{Envelope, MessageSize, SizedMessage};
 use crate::metrics::RunMetrics;
 use crate::node::{Action, NodeContext, NodeStatus, Outbox, Protocol};
 use crate::ring::DelayRing;
-use crate::sharded::shard_bounds;
+use crate::sharded_async::shard_bounds;
 use crate::topology::Topology;
 use netsim_faults::{ChurnEvent, EnvelopeFate, FaultPlan};
 use netsim_graph::NodeId;
@@ -450,7 +452,7 @@ struct Worker<'a, T, P: Protocol> {
     start: usize,
     states: Vec<P>,
     /// Pristine clones for churn recovery (present iff a fault plan is
-    /// installed, mirroring `ShardedSyncEngine::with_fault_plan`).
+    /// installed, mirroring `SyncEngine::with_fault_plan`).
     pristine: Option<Vec<P>>,
     byzantine: Vec<bool>,
     statuses: Vec<NodeStatus>,
@@ -550,7 +552,7 @@ where
                     }
                 }
                 // Compute: step every non-crashed node against its inbox,
-                // exactly the sharded engine's phase 1.
+                // exactly the in-process engines' node-step phase.
                 for local in 0..w.states.len() {
                     let i = w.start + local;
                     let outbox = &mut w.outboxes[local];
@@ -585,8 +587,8 @@ where
                 // Apply this range's actions locally and report the status
                 // transitions.  The per-node guards are independent, so
                 // applying here (before the coordinator's adversary cut)
-                // and reporting is equivalent to the sharded engine's
-                // global phase 3 — the coordinator defers *its* application
+                // and reporting is equivalent to the in-process engines'
+                // global action phase — the coordinator defers *its* application
                 // until after the adversary has seen the pre-action
                 // statuses.
                 let mut transitions = Vec::new();
@@ -633,7 +635,7 @@ where
                     w.ring.push(w.round, due, env);
                 }
                 // Phase 5: drain what is due this round (post-action
-                // statuses, like the sharded engine).
+                // statuses, like the in-process engines).
                 let Worker {
                     ring,
                     metrics,
@@ -768,7 +770,7 @@ where
 
 /// Validate, account and route one envelope into its destination worker's
 /// delivery or deferral batch (the distributed form of
-/// `ShardedSyncEngine::route`; validation is literally shared via
+/// `SyncEngine`'s delivery step; validation is literally shared via
 /// [`envelope_admissible`]).
 #[allow(clippy::too_many_arguments)]
 fn route_one<T: Topology, M: MessageSize>(
@@ -885,7 +887,7 @@ where
                     ChurnEvent::Recover(v) => {
                         let i = v.index();
                         // Workers hold pristine states whenever a fault
-                        // plan is installed, so the sharded engine's
+                        // plan is installed, so the in-process engines'
                         // reset-availability guard is implied here.
                         if i < n && churned_down[i] && statuses[i] == NodeStatus::Crashed {
                             statuses[i] = NodeStatus::Active;
@@ -1196,7 +1198,7 @@ where
     }
 
     /// Install a [`FaultPlan`]; workers keep pristine state clones for
-    /// churn recovery, mirroring `ShardedSyncEngine::with_fault_plan`.
+    /// churn recovery, mirroring `SyncEngine::with_fault_plan`.
     pub fn with_fault_plan(mut self, plan: Box<dyn FaultPlan>) -> Self {
         self.fault_plan = Some(plan);
         self
@@ -1379,99 +1381,9 @@ mod tests {
     use super::*;
     use crate::adversary::NullAdversary;
     use crate::engine::SyncEngine;
-    use crate::sharded::ShardedSyncEngine;
+    use crate::testkit::{assert_results_equal, flood_states, line_graph, Shouter, Val};
     use netsim_faults::FaultSpec;
-    use netsim_graph::Csr;
     use netsim_wire::Listener;
-    use rand::Rng;
-
-    #[derive(Clone, Debug, PartialEq)]
-    struct Val(u64);
-    impl MessageSize for Val {
-        fn message_size(&self) -> SizedMessage {
-            SizedMessage::new(0, 64)
-        }
-    }
-    impl Wire for Val {
-        fn encode(&self, out: &mut Vec<u8>) {
-            self.0.encode(out);
-        }
-        fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-            Ok(Val(u64::decode(r)?))
-        }
-    }
-
-    /// Max-flooding, the engine test-suite workhorse (identical to the
-    /// sharded suite's protocol so the parity claims line up).
-    #[derive(Clone)]
-    struct MaxFlood {
-        value: u64,
-        best: u64,
-        ttl: u64,
-        started: bool,
-    }
-
-    impl Protocol for MaxFlood {
-        type Message = Val;
-        type Output = u64;
-        fn step(
-            &mut self,
-            ctx: &NodeContext<'_>,
-            inbox: &[Envelope<Val>],
-            outbox: &mut Outbox<Val>,
-            rng: &mut ChaCha8Rng,
-        ) -> Action<u64> {
-            if !self.started {
-                self.started = true;
-                if self.value == 0 {
-                    self.value = rng.gen::<u64>() | 1;
-                }
-                self.best = self.value;
-                outbox.broadcast(ctx.neighbors.iter(), Val(self.best));
-                return Action::Continue;
-            }
-            let mut improved = false;
-            for env in inbox {
-                if env.payload.0 > self.best {
-                    self.best = env.payload.0;
-                    improved = true;
-                }
-            }
-            if improved {
-                outbox.broadcast(ctx.neighbors.iter(), Val(self.best));
-            }
-            if ctx.round >= self.ttl {
-                Action::Decide(self.best)
-            } else {
-                Action::Continue
-            }
-        }
-    }
-
-    fn line_graph(n: usize) -> Csr {
-        let edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
-        Csr::from_undirected_edges(n, &edges).unwrap()
-    }
-
-    fn flood_states(n: usize, ttl: u64) -> Vec<MaxFlood> {
-        (0..n)
-            .map(|_| MaxFlood {
-                value: 0,
-                best: 0,
-                ttl,
-                started: false,
-            })
-            .collect()
-    }
-
-    fn assert_results_equal(a: &RunResult<u64>, b: &RunResult<u64>, label: &str) {
-        assert_eq!(a.outputs, b.outputs, "{label}: outputs diverged");
-        assert_eq!(a.decided_round, b.decided_round, "{label}: decided_round");
-        assert_eq!(a.crashed, b.crashed, "{label}: crash masks");
-        assert_eq!(a.statuses, b.statuses, "{label}: statuses");
-        assert_eq!(a.metrics, b.metrics, "{label}: metrics");
-        assert_eq!(a.completed, b.completed, "{label}: completed");
-    }
 
     #[test]
     fn wire_round_trips_for_runtime_types() {
@@ -1589,18 +1501,6 @@ mod tests {
             .run()
             .unwrap();
             assert_results_equal(&reference, &distributed, &format!("faulty S={shards}"));
-            let sharded = ShardedSyncEngine::new(
-                &g,
-                flood_states(n, 90),
-                vec![false; n],
-                NullAdversary,
-                EngineConfig::default(),
-                7,
-                shards,
-            )
-            .with_fault_plan(plan(7))
-            .run();
-            assert_results_equal(&sharded, &distributed, &format!("vs sharded S={shards}"));
         }
         assert!(
             reference.metrics.messages_lost > 0 && reference.metrics.messages_delayed > 0,
@@ -1642,34 +1542,6 @@ mod tests {
         .run()
         .unwrap();
         assert_results_equal(&reference, &distributed, "initial crashes");
-    }
-
-    /// The sharded suite's Shouter: Byzantine nodes shout a huge value at
-    /// node 0 plus an illegal long-range message.
-    struct Shouter;
-    impl Adversary<MaxFlood> for Shouter {
-        fn act(
-            &mut self,
-            view: &AdversaryView<'_, MaxFlood>,
-            _rng: &mut ChaCha8Rng,
-        ) -> AdversaryDecision<Val> {
-            let mut msgs = Vec::new();
-            for (i, &b) in view.byzantine.iter().enumerate() {
-                if b {
-                    msgs.push(Envelope::new(
-                        NodeId::from_index(i),
-                        NodeId(0),
-                        Val(u64::MAX),
-                    ));
-                    msgs.push(Envelope::new(
-                        NodeId::from_index(i),
-                        NodeId(5),
-                        Val(u64::MAX),
-                    ));
-                }
-            }
-            AdversaryDecision::Replace(msgs)
-        }
     }
 
     #[test]

@@ -27,19 +27,19 @@
 //! canonical (sorted by sender), so a run is a pure function of
 //! `(topology, protocol, adversary, seed)` regardless of thread scheduling.
 //!
-//! Five engines execute the same semantics: the classic
-//! [`engine::SyncEngine`], the node-range-partitioned
-//! [`sharded::ShardedSyncEngine`], the event-driven
-//! [`async_engine::AsyncEngine`] (per-node virtual clocks over a
-//! deterministic calendar queue — byte-identical to the synchronous
-//! engines under [`async_engine::ClockPlan::Uniform`], and the gateway to
+//! Four engines execute the same semantics: the classic
+//! [`engine::SyncEngine`], the event-driven [`async_engine::AsyncEngine`]
+//! (per-node virtual clocks over a deterministic calendar queue —
+//! byte-identical to the synchronous engine under
+//! [`async_engine::ClockPlan::Uniform`], and the gateway to
 //! heterogeneous-clock scenarios beyond the synchronous model), the
-//! [`sharded_async::ShardedAsyncEngine`] (per-shard calendar queues and
-//! clock domains rendezvousing only at routing), and the
-//! [`distributed::DistributedSyncEngine`] (shard workers owning private
-//! node ranges, speaking [`wire`]'s binary protocol to a coordinator over
-//! in-process pipes or Unix/TCP sockets).  The event-driven
-//! engines additionally *sparse-tick*: when the adversary is
+//! [`sharded_async::ShardedAsyncEngine`] (node-id-range shards with
+//! per-shard calendar queues and clock domains rendezvousing only at
+//! routing; on uniform clocks it is the sharded synchronous engine), and
+//! the [`distributed::DistributedSyncEngine`] (shard workers owning
+//! private node ranges, speaking [`wire`]'s binary protocol to a
+//! coordinator over in-process pipes or Unix/TCP sockets).  The
+//! event-driven engines additionally *sparse-tick*: when the adversary is
 //! [`adversary::Adversary::idle_passive`] and no fault plan is installed,
 //! virtual time jumps straight to the next scheduled event, making
 //! idle-heavy heterogeneous-clock runs cost O(events) instead of
@@ -50,24 +50,28 @@
 //! with mail, a due wake-up or a churn recovery, so idle rounds cost
 //! O(active) instead of O(n).
 //!
-//! [`run_with_engine`] is the one dispatch point over all five: it takes
+//! [`run_with_engine`] is the one dispatch point over all four: it takes
 //! the engine kind, the node states, the adversary, and the optional
 //! fault plan, recorder and remote worker fleet of one run.
 
 pub mod adversary;
 pub mod async_engine;
+pub mod dispatch;
 pub mod distributed;
 pub mod engine;
 pub mod message;
 pub mod metrics;
 pub mod node;
 pub mod ring;
-pub mod sharded;
 pub mod sharded_async;
 pub mod topology;
 
+#[cfg(test)]
+mod testkit;
+
 pub use adversary::{Adversary, AdversaryDecision, AdversaryView, NullAdversary};
 pub use async_engine::{AsyncEngine, CalendarQueue, ClockPlan, EventClass, EventKey};
+pub use dispatch::{run_with_engine, EngineKind};
 pub use distributed::{
     serve_shard_session, DistributedSyncEngine, RemoteFleet, RunError, ShardServeConfig,
 };
@@ -76,8 +80,7 @@ pub use message::{Envelope, MessageSize, SizedMessage};
 pub use metrics::RunMetrics;
 pub use node::{Action, NodeContext, NodeStatus, Outbox, Protocol};
 pub use ring::DelayRing;
-pub use sharded::{run_with_engine, shard_bounds, EngineKind, ShardedSyncEngine};
-pub use sharded_async::ShardedAsyncEngine;
+pub use sharded_async::{shard_bounds, ShardedAsyncEngine};
 pub use topology::Topology;
 
 /// The structured-tracing subsystem (re-exported from [`netsim_trace`]):
@@ -103,6 +106,7 @@ pub use netsim_faults::{ChurnEvent, EnvelopeFate, FaultPlan, FaultSpec, NoFaults
 pub mod prelude {
     pub use crate::adversary::{Adversary, AdversaryDecision, AdversaryView, NullAdversary};
     pub use crate::async_engine::{AsyncEngine, ClockPlan};
+    pub use crate::dispatch::{run_with_engine, EngineKind};
     pub use crate::distributed::{
         serve_shard_session, DistributedSyncEngine, RemoteFleet, RunError, ShardServeConfig,
     };
@@ -110,7 +114,6 @@ pub mod prelude {
     pub use crate::message::{Envelope, MessageSize, SizedMessage};
     pub use crate::metrics::RunMetrics;
     pub use crate::node::{Action, NodeContext, NodeStatus, Outbox, Protocol};
-    pub use crate::sharded::{run_with_engine, EngineKind, ShardedSyncEngine};
     pub use crate::sharded_async::ShardedAsyncEngine;
     pub use crate::topology::Topology;
     pub use netsim_faults::{ChurnEvent, EnvelopeFate, FaultPlan, FaultSpec, NoFaults};

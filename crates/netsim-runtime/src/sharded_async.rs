@@ -1,32 +1,38 @@
 //! The sharded asynchronous engine: per-shard calendar queues and clock
 //! domains, rendezvousing only at the cross-shard routing step.
 //!
-//! [`ShardedAsyncEngine`] marries the two earlier engine generalizations:
-//! [`ShardedSyncEngine`](crate::ShardedSyncEngine)'s node-id-range
-//! partitioning of the per-node hot state, and [`AsyncEngine`]'s
-//! event-driven virtual time.  Each shard owns a private
+//! [`ShardedAsyncEngine`] combines node-id-range partitioning of the
+//! per-node hot state (protocol states, RNG streams, outboxes, mailboxes,
+//! envelope arenas and delivery metrics, split into `S` contiguous ranges
+//! by [`shard_bounds`]) with [`AsyncEngine`]'s event-driven virtual time.
+//! Each shard owns a private
 //! [`CalendarQueue`] — its nodes' self-rescheduling step events plus the
 //! deferred deliveries *addressed into* its node range — so the only
 //! global synchronization points in a tick are the ones the semantics
 //! force: the fault plan's churn consultation, the full-information
 //! adversary cut over the gathered arenas, and the sequential routing
 //! step that consults the fault plan per envelope in the unsharded
-//! engine's exact order (its RNG stream depends on it).  This is the
-//! single-process rehearsal of the distributed layout the ROADMAP aims
-//! at: shard-local event loops, one rendezvous per tick.
+//! engine's exact order (its RNG stream depends on it).  The node-step
+//! phase fans shards out over the rayon shim's scoped threads
+//! (`for_each_shard`); with `S = 1` or one configured worker it is a
+//! plain sequential loop.
+//!
+//! Under [`ClockPlan::Uniform`] this *is* the sharded synchronous engine:
+//! every node steps every tick, so a tick is a round.  A spec's
+//! `Sharded { shards }` engine resolves to exactly that.
 //!
 //! ## Determinism contract
 //!
 //! For equal `(topology, protocol, adversary, seed, fault plan, clock
 //! plan)`, a [`ShardedAsyncEngine`] run is **byte-identical** to an
 //! [`AsyncEngine`] run for every shard count — and therefore, under
-//! [`ClockPlan::Uniform`], to [`SyncEngine`](crate::SyncEngine) and
-//! [`ShardedSyncEngine`](crate::ShardedSyncEngine) as well.  The
-//! ingredients are the same as the sharded synchronous engine's: per-node
-//! RNG streams are seed-derived per node, shard concatenation order *is*
-//! global node order (shards are contiguous ranges), each destination
-//! node lives in exactly one shard queue so per-mailbox arrival order is
-//! preserved, and per-shard queue `seq` counters only ever tie-break
+//! [`ClockPlan::Uniform`], to [`SyncEngine`](crate::SyncEngine) as well.
+//! Per-node RNG streams are seed-derived per node (not per shard), shard
+//! concatenation order *is* global node order (shards are contiguous
+//! ranges), each destination node lives in exactly one shard queue so
+//! per-mailbox arrival order is preserved, per-shard metrics merge
+//! ([`RunMetrics::absorb_shard`]) to the exact single-stream totals, and
+//! per-shard queue `seq` counters only ever tie-break
 //! same-`(time, class, node)` events — whose relative push order the
 //! global routing order already fixes.
 //!
@@ -49,7 +55,6 @@ use crate::engine::{
 use crate::message::{Envelope, MessageSize};
 use crate::metrics::RunMetrics;
 use crate::node::{Action, NodeContext, NodeStatus, Outbox, Protocol};
-use crate::sharded::{for_each_shard, shard_bounds};
 use crate::topology::Topology;
 use netsim_faults::{ChurnEvent, EnvelopeFate, FaultPlan};
 use netsim_graph::NodeId;
@@ -87,6 +92,50 @@ struct ShardTask<'b, P: Protocol> {
     /// Shard-owned buffer for its Byzantine nodes' protocol-following
     /// envelopes.
     byz: &'b mut Vec<Envelope<P::Message>>,
+}
+
+/// Shard boundaries for `n` nodes over `shards` contiguous ranges: shard
+/// `s` owns `bounds[s]..bounds[s + 1]`.  Ranges differ in size by at most
+/// one node, cover `0..n` exactly, and the shard count is clamped to
+/// `1..=max(n, 1)` so every shard is non-empty (for `n > 0`).
+pub fn shard_bounds(n: usize, shards: usize) -> Vec<usize> {
+    let s = shards.clamp(1, n.max(1));
+    (0..=s).map(|i| i * n / s).collect()
+}
+
+/// Apply `f` to every task, recursively splitting the task list across the
+/// rayon shim's scoped threads — but only as deep as the configured worker
+/// count warrants ([`rayon::current_num_threads`], i.e. the
+/// `RAYON_NUM_THREADS` / programmatic override the rest of the workspace
+/// honours).  With one worker (or one shard) this is a plain sequential
+/// loop: no threads are spawned, so `S > cores` never pays for more
+/// fan-out than the machine can absorb, and results are identical either
+/// way (that is the engine's contract).
+fn for_each_shard<T: Send, F: Fn(&mut T) + Sync>(tasks: &mut [T], f: &F) {
+    let threads = rayon::current_num_threads();
+    let splits = if threads <= 1 {
+        0
+    } else {
+        // Enough binary splits to occupy every worker (same policy as the
+        // shim's own `drive`).
+        (usize::BITS - (threads - 1).leading_zeros()) as usize
+    };
+    for_each_shard_rec(tasks, f, splits);
+}
+
+fn for_each_shard_rec<T: Send, F: Fn(&mut T) + Sync>(tasks: &mut [T], f: &F, splits_left: usize) {
+    if tasks.len() <= 1 || splits_left == 0 {
+        for task in tasks {
+            f(task);
+        }
+        return;
+    }
+    let mid = tasks.len() / 2;
+    let (left, right) = tasks.split_at_mut(mid);
+    rayon::join(
+        || for_each_shard_rec(left, f, splits_left - 1),
+        || for_each_shard_rec(right, f, splits_left - 1),
+    );
 }
 
 /// The sharded asynchronous engine; see the module documentation.
@@ -838,92 +887,11 @@ mod tests {
     use super::*;
     use crate::adversary::NullAdversary;
     use crate::async_engine::AsyncEngine;
+    use crate::distributed::DistributedSyncEngine;
     use crate::engine::SyncEngine;
-    use crate::message::SizedMessage;
-    use crate::sharded::ShardedSyncEngine;
+    use crate::testkit::{assert_results_equal, flood_states, line_graph, Shouter};
     use netsim_faults::FaultSpec;
-    use netsim_graph::Csr;
     use netsim_trace::CounterSet;
-    use rand::Rng;
-
-    #[derive(Clone, Debug, PartialEq)]
-    struct Val(u64);
-    impl MessageSize for Val {
-        fn message_size(&self) -> SizedMessage {
-            SizedMessage::new(0, 64)
-        }
-    }
-
-    /// Max-flooding (the engine test-suite workhorse).
-    #[derive(Clone)]
-    struct MaxFlood {
-        value: u64,
-        best: u64,
-        ttl: u64,
-        started: bool,
-    }
-
-    impl Protocol for MaxFlood {
-        type Message = Val;
-        type Output = u64;
-        fn step(
-            &mut self,
-            ctx: &NodeContext<'_>,
-            inbox: &[Envelope<Val>],
-            outbox: &mut Outbox<Val>,
-            rng: &mut ChaCha8Rng,
-        ) -> Action<u64> {
-            if !self.started {
-                self.started = true;
-                if self.value == 0 {
-                    self.value = rng.gen::<u64>() | 1;
-                }
-                self.best = self.value;
-                outbox.broadcast(ctx.neighbors.iter(), Val(self.best));
-                return Action::Continue;
-            }
-            let mut improved = false;
-            for env in inbox {
-                if env.payload.0 > self.best {
-                    self.best = env.payload.0;
-                    improved = true;
-                }
-            }
-            if improved {
-                outbox.broadcast(ctx.neighbors.iter(), Val(self.best));
-            }
-            if ctx.round >= self.ttl {
-                Action::Decide(self.best)
-            } else {
-                Action::Continue
-            }
-        }
-    }
-
-    fn line_graph(n: usize) -> Csr {
-        let edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
-        Csr::from_undirected_edges(n, &edges).unwrap()
-    }
-
-    fn flood_states(n: usize, ttl: u64) -> Vec<MaxFlood> {
-        (0..n)
-            .map(|_| MaxFlood {
-                value: 0,
-                best: 0,
-                ttl,
-                started: false,
-            })
-            .collect()
-    }
-
-    fn assert_results_equal(a: &RunResult<u64>, b: &RunResult<u64>, label: &str) {
-        assert_eq!(a.outputs, b.outputs, "{label}: outputs diverged");
-        assert_eq!(a.decided_round, b.decided_round, "{label}: decided_round");
-        assert_eq!(a.crashed, b.crashed, "{label}: crash masks");
-        assert_eq!(a.statuses, b.statuses, "{label}: statuses");
-        assert_eq!(a.metrics, b.metrics, "{label}: metrics");
-        assert_eq!(a.completed, b.completed, "{label}: completed");
-    }
 
     const SHARD_COUNTS: [usize; 5] = [1, 2, 3, 4, 8];
 
@@ -1043,34 +1011,6 @@ mod tests {
         }
     }
 
-    /// An adversary that makes Byzantine nodes shout a huge value at node
-    /// 0 plus an illegal long-range message (mirrors the engine suites).
-    struct Shouter;
-    impl Adversary<MaxFlood> for Shouter {
-        fn act(
-            &mut self,
-            view: &AdversaryView<'_, MaxFlood>,
-            _rng: &mut ChaCha8Rng,
-        ) -> AdversaryDecision<Val> {
-            let mut msgs = Vec::new();
-            for (i, &b) in view.byzantine.iter().enumerate() {
-                if b {
-                    msgs.push(Envelope::new(
-                        NodeId::from_index(i),
-                        NodeId(0),
-                        Val(u64::MAX),
-                    ));
-                    msgs.push(Envelope::new(
-                        NodeId::from_index(i),
-                        NodeId(5),
-                        Val(u64::MAX),
-                    ));
-                }
-            }
-            AdversaryDecision::Replace(msgs)
-        }
-    }
-
     #[test]
     fn sharded_async_matches_async_under_an_adversary() {
         let n = 16;
@@ -1078,34 +1018,42 @@ mod tests {
         let mut byz = vec![false; n];
         byz[1] = true;
         byz[9] = true;
-        let clocks = ClockPlan::Stratified {
-            every: 3,
-            period: 4,
-        };
-        let reference = AsyncEngine::new(
-            &g,
-            flood_states(n, 30),
-            byz.clone(),
-            Shouter,
-            EngineConfig::default(),
-            3,
-            clocks,
-        )
-        .run();
-        assert!(reference.metrics.messages_dropped > 0);
-        for shards in SHARD_COUNTS {
-            let sharded = ShardedAsyncEngine::new(
+        for clocks in [
+            ClockPlan::Uniform,
+            ClockPlan::Stratified {
+                every: 3,
+                period: 4,
+            },
+        ] {
+            let reference = AsyncEngine::new(
                 &g,
                 flood_states(n, 30),
                 byz.clone(),
                 Shouter,
                 EngineConfig::default(),
                 3,
-                shards,
                 clocks,
             )
             .run();
-            assert_results_equal(&reference, &sharded, &format!("adversarial S={shards}"));
+            assert!(reference.metrics.messages_dropped > 0);
+            for shards in SHARD_COUNTS {
+                let sharded = ShardedAsyncEngine::new(
+                    &g,
+                    flood_states(n, 30),
+                    byz.clone(),
+                    Shouter,
+                    EngineConfig::default(),
+                    3,
+                    shards,
+                    clocks,
+                )
+                .run();
+                assert_results_equal(
+                    &reference,
+                    &sharded,
+                    &format!("adversarial S={shards} clocks={}", clocks.describe()),
+                );
+            }
         }
     }
 
@@ -1116,39 +1064,44 @@ mod tests {
         let mut crashed = vec![false; n];
         crashed[3] = true;
         crashed[12] = true;
-        let clocks = ClockPlan::Jittered { max_period: 3 };
-        let reference = AsyncEngine::new(
-            &g,
-            flood_states(n, 50),
-            vec![false; n],
-            NullAdversary,
-            EngineConfig::default(),
-            5,
-            clocks,
-        )
-        .with_initial_crashes(&crashed)
-        .run();
-        for shards in SHARD_COUNTS {
-            let sharded = ShardedAsyncEngine::new(
+        for clocks in [ClockPlan::Uniform, ClockPlan::Jittered { max_period: 3 }] {
+            let reference = AsyncEngine::new(
                 &g,
                 flood_states(n, 50),
                 vec![false; n],
                 NullAdversary,
                 EngineConfig::default(),
                 5,
-                shards,
                 clocks,
             )
             .with_initial_crashes(&crashed)
             .run();
-            assert_results_equal(&reference, &sharded, &format!("initial crashes S={shards}"));
+            for shards in SHARD_COUNTS {
+                let sharded = ShardedAsyncEngine::new(
+                    &g,
+                    flood_states(n, 50),
+                    vec![false; n],
+                    NullAdversary,
+                    EngineConfig::default(),
+                    5,
+                    shards,
+                    clocks,
+                )
+                .with_initial_crashes(&crashed)
+                .run();
+                assert_results_equal(
+                    &reference,
+                    &sharded,
+                    &format!("initial crashes S={shards} clocks={}", clocks.describe()),
+                );
+            }
         }
     }
 
-    // -- Four-engine parity on uniform clocks --------------------------------
+    // -- Parity with the synchronous reference on uniform clocks ------------
 
     #[test]
-    fn uniform_clocks_match_all_four_engines() {
+    fn uniform_clocks_match_the_sync_and_async_engines() {
         let n = 24;
         let g = line_graph(n);
         let reference = SyncEngine::new(
@@ -1160,17 +1113,6 @@ mod tests {
             42,
         )
         .run();
-        let sharded_sync = ShardedSyncEngine::new(
-            &g,
-            flood_states(n, 3 * n as u64),
-            vec![false; n],
-            NullAdversary,
-            EngineConfig::default(),
-            42,
-            3,
-        )
-        .run();
-        assert_results_equal(&reference, &sharded_sync, "sharded-sync");
         let asynced = AsyncEngine::new(
             &g,
             flood_states(n, 3 * n as u64),
@@ -1182,18 +1124,78 @@ mod tests {
         )
         .run();
         assert_results_equal(&reference, &asynced, "async");
-        let sharded_async = ShardedAsyncEngine::new(
+        for shards in [1usize, 2, 3, 4, 8, 24, 100] {
+            let sharded_async = ShardedAsyncEngine::new(
+                &g,
+                flood_states(n, 3 * n as u64),
+                vec![false; n],
+                NullAdversary,
+                EngineConfig::default(),
+                42,
+                shards,
+                ClockPlan::Uniform,
+            )
+            .run();
+            assert_results_equal(&reference, &sharded_async, &format!("S={shards}"));
+        }
+    }
+
+    #[test]
+    fn cross_shard_delay_past_the_final_round_expires_and_is_never_delivered() {
+        // Regression test for the cross-shard expiry path: a message
+        // delayed past the run's final round whose *destination* lives in
+        // a different shard than its sender must be counted as
+        // `messages_expired` (in the destination shard's queue), never
+        // delivered.
+        struct DelayAcross;
+        impl FaultPlan for DelayAcross {
+            fn envelope_fate(&mut self, round: u64, from: NodeId, to: NodeId) -> EnvelopeFate {
+                // With n = 8 and S = 2, shard 0 owns 0..4 and shard 1 owns
+                // 4..8: the 3 → 4 edge crosses the shard boundary.
+                if round == 0 && from == NodeId(3) && to == NodeId(4) {
+                    EnvelopeFate::Delay(1000)
+                } else {
+                    EnvelopeFate::Deliver
+                }
+            }
+        }
+        let n = 8;
+        let g = line_graph(n);
+        let cfg = EngineConfig {
+            max_rounds: 4,
+            stop_when_all_decided: true,
+        };
+        let reference = SyncEngine::new(
             &g,
-            flood_states(n, 3 * n as u64),
+            flood_states(n, 1000),
             vec![false; n],
             NullAdversary,
-            EngineConfig::default(),
-            42,
-            3,
+            cfg,
+            11,
+        )
+        .with_fault_plan(Box::new(DelayAcross))
+        .run();
+        let sharded = ShardedAsyncEngine::new(
+            &g,
+            flood_states(n, 1000),
+            vec![false; n],
+            NullAdversary,
+            cfg,
+            11,
+            2,
             ClockPlan::Uniform,
         )
+        .with_fault_plan(Box::new(DelayAcross))
         .run();
-        assert_results_equal(&reference, &sharded_async, "sharded-async");
+        assert_results_equal(&reference, &sharded, "cross-shard expiry");
+        assert_eq!(
+            sharded.metrics.messages_delayed, 1,
+            "exactly the boundary-crossing envelope was deferred"
+        );
+        assert_eq!(
+            sharded.metrics.messages_expired, 1,
+            "the deferred envelope must expire at the cap, not deliver"
+        );
     }
 
     // -- Delay(0) accounting (cross-engine regression) -----------------------
@@ -1208,7 +1210,7 @@ mod tests {
     }
 
     #[test]
-    fn delay_zero_accounts_as_immediate_delivery_in_all_four_engines() {
+    fn delay_zero_accounts_as_immediate_delivery_in_every_engine() {
         // Regression (cross-engine): `EnvelopeFate::Delay(0)` is immediate
         // delivery.  All engines must agree on the (delivered, delayed)
         // split — delivered counted now, `messages_delayed` untouched —
@@ -1250,20 +1252,6 @@ mod tests {
             "sync",
         );
         check(
-            ShardedSyncEngine::new(
-                &g,
-                flood_states(n, 30),
-                vec![false; n],
-                NullAdversary,
-                EngineConfig::default(),
-                23,
-                4,
-            )
-            .with_fault_plan(Box::new(DelayZero))
-            .run(),
-            "sharded",
-        );
-        check(
             AsyncEngine::new(
                 &g,
                 flood_states(n, 30),
@@ -1291,6 +1279,21 @@ mod tests {
             .with_fault_plan(Box::new(DelayZero))
             .run(),
             "sharded-async",
+        );
+        check(
+            DistributedSyncEngine::new(
+                &g,
+                flood_states(n, 30),
+                vec![false; n],
+                NullAdversary,
+                EngineConfig::default(),
+                23,
+                4,
+            )
+            .with_fault_plan(Box::new(DelayZero))
+            .run()
+            .expect("in-process pipes are infallible"),
+            "distributed",
         );
     }
 
@@ -1428,5 +1431,79 @@ mod tests {
             snap.total(Counter::MessagesDelivered),
             result.metrics.messages_delivered,
         );
+    }
+
+    // -- Shard layout and fan-out ----------------------------------------------
+
+    #[test]
+    fn shard_bounds_cover_the_range_contiguously() {
+        for (n, shards) in [(16, 4), (17, 4), (3, 8), (1, 1), (100, 7)] {
+            let bounds = shard_bounds(n, shards);
+            assert_eq!(*bounds.first().unwrap(), 0);
+            assert_eq!(*bounds.last().unwrap(), n);
+            assert!(bounds.windows(2).all(|w| w[0] <= w[1]));
+            assert!(bounds.len() - 1 <= shards.max(1));
+            if n > 0 {
+                // Clamping keeps every shard non-empty and balanced to ±1.
+                let sizes: Vec<usize> = bounds.windows(2).map(|w| w[1] - w[0]).collect();
+                assert!(sizes.iter().all(|&s| s >= 1), "{n}/{shards}: {sizes:?}");
+                let (min, max) = (*sizes.iter().min().unwrap(), *sizes.iter().max().unwrap());
+                assert!(max - min <= 1, "{n}/{shards}: {sizes:?}");
+            }
+        }
+        // Zero nodes still yields a well-formed (empty) single shard.
+        assert_eq!(shard_bounds(0, 4), vec![0, 0]);
+    }
+
+    #[test]
+    fn shard_count_reports_the_clamped_value() {
+        let g = line_graph(4);
+        let engine = ShardedAsyncEngine::new(
+            &g,
+            flood_states(4, 10),
+            vec![false; 4],
+            NullAdversary,
+            EngineConfig::default(),
+            0,
+            64,
+            ClockPlan::Uniform,
+        );
+        assert_eq!(engine.shard_count(), 4, "shards clamp to the node count");
+    }
+
+    #[test]
+    fn single_worker_fan_out_is_sequential_and_results_are_unchanged() {
+        // With one configured worker the shard loop must not spawn (the
+        // splits budget is zero) and — the actual contract — results must
+        // be identical to the multi-worker run.  The override is
+        // process-global but harmless to concurrent tests: nothing in this
+        // crate's suite may depend on the worker count.
+        struct RestoreOverride;
+        impl Drop for RestoreOverride {
+            fn drop(&mut self) {
+                rayon::set_num_threads_override(None);
+            }
+        }
+        let _restore = RestoreOverride;
+        let n = 24;
+        let g = line_graph(n);
+        let run = || {
+            ShardedAsyncEngine::new(
+                &g,
+                flood_states(n, 60),
+                vec![false; n],
+                NullAdversary,
+                EngineConfig::default(),
+                13,
+                6,
+                ClockPlan::Uniform,
+            )
+            .run()
+        };
+        rayon::set_num_threads_override(Some(1));
+        let sequential = run();
+        rayon::set_num_threads_override(Some(8));
+        let fanned_out = run();
+        assert_results_equal(&sequential, &fanned_out, "worker-count independence");
     }
 }

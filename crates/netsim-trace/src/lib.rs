@@ -1,6 +1,7 @@
 //! # netsim-trace — zero-cost structured tracing for the simulation engines
 //!
-//! The engines (`SyncEngine`, `ShardedSyncEngine`, `AsyncEngine`) are
+//! The engines (`SyncEngine`, `AsyncEngine`, `ShardedAsyncEngine` and the
+//! coordinator side of `DistributedSyncEngine`) are
 //! instrumented against the object-safe [`Recorder`] trait.  When no
 //! recorder is installed the instrumentation is a single `Option` check
 //! per *phase boundary* (never per envelope), so the PR 3 zero-allocation

@@ -464,3 +464,46 @@ fn old_free_functions_and_builder_agree() {
     );
     assert!(eval2.good_fraction_of_honest > 0.9);
 }
+
+#[test]
+fn oversized_shard_counts_are_rejected_before_any_engine_is_built() {
+    // The distributed engine spawns one thread per shard, so an absurd
+    // shard count must fail validation, not reach an engine.  The network
+    // is tiny: even if validation regressed, run-time clamping to n would
+    // keep the thread count small.
+    let spec = byzantine_sim(TopologySpec::SmallWorld { n: 32, d: 6 }, 5)
+        .spec()
+        .clone();
+    for engine in [
+        EngineSpec::Sharded { shards: u32::MAX },
+        EngineSpec::ShardedAsync {
+            shards: u32::MAX,
+            clocks: ClockPlan::Uniform,
+        },
+        EngineSpec::Distributed { shards: u32::MAX },
+        EngineSpec::Distributed {
+            shards: byzcount::sim::MAX_SHARDS + 1,
+        },
+    ] {
+        let mut bad = spec.clone();
+        bad.engine = engine;
+        assert!(
+            matches!(bad.validate(), Err(SimError::Spec(_))),
+            "{engine:?}: validate must reject"
+        );
+        assert!(
+            matches!(byzcount::sim::execute(&bad), Err(SimError::Spec(_))),
+            "{engine:?}: execute must fail before building an engine"
+        );
+        let batch = BatchSpec {
+            version: SPEC_VERSION,
+            run: bad,
+            seeds: SeedPolicy::Fixed(5),
+            sizes: None,
+        };
+        assert!(
+            matches!(byzcount::sim::execute_batch(&batch), Err(SimError::Spec(_))),
+            "{engine:?}: batch execution must fail before building an engine"
+        );
+    }
+}
